@@ -16,7 +16,7 @@ probabilistically inserts requested contents.  It is labeled "per-cache
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,15 +28,7 @@ from .online import RequestStreams
 
 def solve_adaptive_caching(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     """Offline solve with delivery pinned to the requested content."""
-    cfg = cfg or SolverConfig()
-    if not cfg.pin_delivery:
-        cfg = SolverConfig(
-            eta_s=cfg.eta_s, eta_mu=cfg.eta_mu, delta=cfg.delta,
-            max_iters=cfg.max_iters, seed=cfg.seed, random_init=cfg.random_init,
-            pin_delivery=True,
-            availability_excludes_terminal=cfg.availability_excludes_terminal,
-        )
-    return solve_offline(s, cfg)
+    return solve_offline(s, replace(cfg or SolverConfig(), pin_delivery=True))
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Commands: generate, validate, solve, sweep, online.  Every command writes
 CSV metrics plus a manifest.json capturing the full option set, so any
 output can be reproduced byte-for-byte from the manifest alone.  Exit
-codes: 0 success (including reported nonconvergence), 2 usage error,
-3 I/O or parse error.
+codes: 0 success (including reported nonconvergence), 1 scenario
+violations (solve and online then solve nothing), 2 usage error, 3 I/O
+or parse error.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path as FsPath
 
 import click
-import numpy as np
 
 from . import __version__
-from .baselines import PerCacheConfig, run_per_cache_baseline, solve_adaptive_caching
+from .baselines import PerCacheConfig, run_per_cache_baseline
 from .hibsa import SolverConfig, solve_offline
 from .model import validate_scenario
 from .online import OnlineConfig, run_online
@@ -59,16 +59,19 @@ def _load(path):
         sys.exit(IO_ERROR)
 
 
-def _solver_config(eta_s, eta_mu, delta, max_iters, seed, baseline):
-    return SolverConfig(eta_s=eta_s, eta_mu=eta_mu, delta=delta,
-                        max_iters=max_iters, seed=seed,
-                        pin_delivery=(baseline == "adaptive"))
+def _exit_on_violations(s) -> None:
+    """Print every scenario violation to stderr and exit 1 if there is one."""
+    violations = validate_scenario(s)
+    for v in violations:
+        click.echo(f"violation: {v}", err=True)
+    if violations:
+        sys.exit(1)
 
 
 def solve_summary_row(s, scheme, cfg):
-    """One summary row (scheme, expected_delay, ...) for a single solve."""
-    solve = solve_adaptive_caching if scheme == "adaptive" else solve_offline
-    res = solve(s, cfg)
+    """One summary row (scheme, expected_delay, ...) for a single solve;
+    ``cfg.pin_delivery`` selects the adaptive-caching mode."""
+    res = solve_offline(s, cfg)
     frac_obj = res.trace.rows[-1][2] if res.trace.rows else res.rounded.objective
     gap = ((res.rounded.objective - frac_obj) / frac_obj) if frac_obj > 0 else 0.0
     return res, {
@@ -99,8 +102,7 @@ def sweep_point(param, value, seed, scheme, gen_kwargs, solver_kwargs):
         raise ValueError(f"unknown sweep parameter {param!r}")
     cfg = SolverConfig(pin_delivery=(scheme == "adaptive"), **solver_kwargs)
     try:
-        solve = solve_adaptive_caching if scheme == "adaptive" else solve_offline
-        res = solve(s, cfg)
+        res = solve_offline(s, cfg)
         return (param, value, seed, scheme, res.rounded.expected_delay,
                 res.rounded.dissimilarity_cost, res.rounded.objective,
                 res.trace.iterations, res.trace.stop_reason)
@@ -114,15 +116,11 @@ def run_sweep(param, values, seeds, schemes, gen_kwargs, solver_kwargs, workers=
               for v in values for seed in seeds for scheme in schemes]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point_star, points))
+            rows = list(pool.map(sweep_point, *zip(*points)))
     else:
         rows = [sweep_point(*p) for p in points]
     rows.sort(key=lambda r: (str(r[0]), float(r[1]), int(r[2]), str(r[3])))
     return rows
-
-
-def _sweep_point_star(args):
-    return sweep_point(*args)
 
 
 SLOT_COLUMNS = ("t", "num_requests", "avg_delay_window", "dissimilarity_window",
@@ -178,14 +176,10 @@ def generate(out, **kwargs):
     """Generate a random scenario and write it to a file."""
     g = _gen_config(**kwargs)
     s = generate_scenario(g)
-    violations = validate_scenario(s)
     save_scenario(s, out)
     click.echo(f"wrote {out}: |V|={s.num_nodes} |E|={len(s.network.delays)} "
                f"|F|={s.num_contents} |R|={s.num_requests}")
-    if violations:
-        for v in violations:
-            click.echo(f"violation: {v}", err=True)
-        sys.exit(1)
+    _exit_on_violations(s)
     click.echo("validation: ok")
 
 
@@ -221,8 +215,11 @@ def solve(scenario_path, out, alpha, baseline, eta_s, eta_mu, delta,
     s = _load(scenario_path)
     if alpha is not None:
         s = with_alpha(s, alpha)
+    _exit_on_violations(s)
     scheme = baseline or "similarity"
-    cfg = _solver_config(eta_s, eta_mu, delta, max_iters, seed, baseline)
+    cfg = SolverConfig(eta_s=eta_s, eta_mu=eta_mu, delta=delta,
+                       max_iters=max_iters, seed=seed,
+                       pin_delivery=(baseline == "adaptive"))
     res, summary = solve_summary_row(s, scheme, cfg)
 
     out_dir = FsPath(out)
@@ -312,6 +309,7 @@ def online(scenario_path, out, baseline, slots, seed, slot_length, eta_x,
            eta_q, eta_mu, insert_prob, offline_ref, max_iters):
     """Run the online scheme (or the per-cache baseline); write a slot log."""
     s = _load(scenario_path)
+    _exit_on_violations(s)
     offline_delay = None
     if offline_ref:
         ref = solve_offline(s, SolverConfig(max_iters=max_iters))

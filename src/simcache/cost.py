@@ -1,9 +1,8 @@
 """Delay, delivery cost, objective, availability constraint, Lagrangian.
 
-Two layers: per-request scalar functions that mirror the math one term at
-a time, and a padded-array batch layer (`PathGeometry`) that evaluates all
-requests/contents at once.  The solver uses the batch layer; the scalar
-layer is the readable reference and both are cross-checked in tests.
+`PathGeometry` holds padded per-request path arrays and evaluates every
+quantity for all (request, content) pairs at once; the tests check it
+against independent per-term oracles.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, edge_key
+from .model import Scenario
 
 
 @dataclass
@@ -22,32 +21,17 @@ class PrimalState:
     X: np.ndarray
     Q: np.ndarray
 
-    def copy(self) -> "PrimalState":
-        return PrimalState(self.X.copy(), self.Q.copy())
-
-
-@dataclass
-class DualState:
-    """Nonnegative multipliers, one per (request, content) pair."""
-
-    mu: np.ndarray
-
-    def copy(self) -> "DualState":
-        return DualState(self.mu.copy())
-
 
 class PathGeometry:
     """Padded per-request path arrays for vectorized cost/gradient math.
 
     Paths are padded to a common length; padded positions carry node 0
     with a False mask and contribute neutral factors (1 - x treated as 1,
-    tau as 0).  `exclude_terminal` switches the availability product to
-    run over p_1..p_{|p|-1} instead of the full path.
+    tau as 0).
     """
 
-    def __init__(self, s: Scenario, exclude_terminal: bool = False):
+    def __init__(self, s: Scenario):
         self.scenario = s
-        self.exclude_terminal = exclude_terminal
         R = s.num_requests
         lengths = np.array([len(r.path) for r in s.requests], dtype=int)
         P = int(lengths.max()) if R else 1
@@ -70,11 +54,6 @@ class PathGeometry:
         self.req_content = np.array([r.content for r in s.requests], dtype=int)
         # dissimilarity row of each request's content: (R, F)
         self.d_rows = s.dissimilarity[self.req_content, :].copy()
-        # availability product mask: optionally drop the terminal position
-        self.avail_mask = mask.copy()
-        if exclude_terminal:
-            for i in range(R):
-                self.avail_mask[i, lengths[i] - 1] = False
 
     # -- batch evaluation ---------------------------------------------------
 
@@ -84,22 +63,15 @@ class PathGeometry:
         Y[~self.mask, :] = 1.0
         return Y
 
-    def prefix_products(self, Y: np.ndarray) -> np.ndarray:
-        """Cumulative products along the path axis."""
-        return np.cumprod(Y, axis=1)
-
     def delays(self, X: np.ndarray) -> np.ndarray:
         """(R, F) matrix of delivery delays t_{(f,p),f'}(X)."""
-        Y = self.one_minus_x(X)
-        CP = self.prefix_products(Y)
+        CP = np.cumprod(self.one_minus_x(X), axis=1)
         # hop k (0-based) uses the prefix product through position k
         return np.einsum("rk,rkf->rf", self.taus, CP[:, : self.taus.shape[1], :])
 
     def availability_products(self, X: np.ndarray) -> np.ndarray:
         """(R, F) products over path positions of (1 - x)."""
-        Y = 1.0 - X[self.nodes, :]
-        Y[~self.avail_mask, :] = 1.0
-        return np.prod(Y, axis=1)
+        return np.prod(self.one_minus_x(X), axis=1)
 
     def violations(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """(R, F) matrix of h_{(f,p),f'}(X, Q)."""
@@ -116,67 +88,10 @@ class PathGeometry:
         return float(np.dot(self.rates, np.sum(S.Q * self.delays(S.X), axis=1)))
 
     def dissimilarity_cost(self, S: PrimalState) -> float:
+        """Rate-weighted dissimilarity component (unweighted by alpha)."""
         return float(np.dot(self.rates, np.sum(S.Q * self.d_rows, axis=1)))
 
     def lagrangian(self, S: PrimalState, mu: np.ndarray) -> float:
         h = self.violations(S.X, S.Q)
         return self.objective(S) + float(np.dot(self.rates, np.sum(mu * h, axis=1)))
 
-
-# -- scalar reference API ----------------------------------------------------
-
-
-def delivery_delay(s: Scenario, X: np.ndarray, r: int, f_prime: int) -> float:
-    """Delay of delivering f' for request r: sum over hops of tau times the
-    probability no earlier node holds f'."""
-    p = s.requests[r].path.nodes
-    total = 0.0
-    miss = 1.0
-    for k in range(len(p) - 1):
-        miss *= 1.0 - X[p[k], f_prime]
-        total += s.network.delays[edge_key(p[k + 1], p[k])] * miss
-    return total
-
-
-def delivery_cost(s: Scenario, X: np.ndarray, r: int, f_prime: int) -> float:
-    """Delay plus alpha-weighted dissimilarity for delivering f'."""
-    f = s.requests[r].content
-    return delivery_delay(s, X, r, f_prime) + s.alpha * float(s.dissimilarity[f, f_prime])
-
-
-def availability_violation(
-    s: Scenario,
-    S: PrimalState,
-    r: int,
-    f_prime: int,
-    exclude_terminal: bool = False,
-) -> float:
-    """h_{(f,p),f'} = q * prod over path nodes of (1 - x); 0 iff satisfied
-    at integer points."""
-    p = s.requests[r].path.nodes
-    stop = len(p) - 1 if exclude_terminal else len(p)
-    prod = 1.0
-    for k in range(stop):
-        prod *= 1.0 - S.X[p[k], f_prime]
-    return float(S.Q[r, f_prime]) * prod
-
-
-def objective(s: Scenario, S: PrimalState) -> float:
-    """Rate-weighted total delivery cost c(X, Q)."""
-    return PathGeometry(s).objective(S)
-
-
-def expected_delay(s: Scenario, S: PrimalState) -> float:
-    """Rate-weighted delay component D(X, Q)."""
-    return PathGeometry(s).expected_delay(S)
-
-
-def dissimilarity_cost(s: Scenario, S: PrimalState) -> float:
-    """Rate-weighted dissimilarity component (unweighted by alpha)."""
-    return PathGeometry(s).dissimilarity_cost(S)
-
-
-def lagrangian(s: Scenario, S: PrimalState, mu: np.ndarray,
-               exclude_terminal: bool = False) -> float:
-    """c(X,Q) plus rate-weighted sum of mu * h over (request, content)."""
-    return PathGeometry(s, exclude_terminal=exclude_terminal).lagrangian(S, mu)

@@ -4,10 +4,10 @@ The x-derivatives need leave-one-out path products; those are built from
 prefix/suffix cumulative products and a backward recurrence, so no entry
 is ever divided by (1 - x), which would be unstable as x approaches 1.
 
-The per-request "bracket" terms (gradient entries with the request rate
-factored out) are exposed separately because the online module's
-stochastic estimates accumulate exactly those brackets per observed
-request instance.
+Each gradient is a sum over requests of a per-request term times that
+request's weight.  The weights default to the arrival rates, which gives
+the analytic gradient; the online scheme passes observed count / slot
+length instead, which gives its stochastic estimate.
 """
 
 from __future__ import annotations
@@ -18,26 +18,15 @@ from .cost import PathGeometry, PrimalState
 from .model import Scenario
 
 
-def q_bracket(geom: PathGeometry, X: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """(R, F) bracket of the q-derivative: t + alpha*d + mu * prod(1 - x)."""
-    avail = geom.availability_products(X)
-    return geom.delays(X) + geom.scenario.alpha * geom.d_rows + mu * avail
-
-
-def mu_bracket(geom: PathGeometry, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(R, F) bracket of the mu-derivative: q * prod(1 - x) = h / rate-weight."""
-    return Q * geom.availability_products(X)
-
-
 def x_position_contributions(
     geom: PathGeometry, X: np.ndarray, Q: np.ndarray, mu: np.ndarray
 ) -> np.ndarray:
-    """(R, P, F) x-derivative brackets per path position, rate factored out.
+    """(R, P, F) x-derivative brackets per path position, weight factored out.
 
     Entry (r, j, f') is the contribution of request r to dL/dx at node
-    p_{j+1} of its path (zero at padded positions), excluding the rate
-    factor.  Summing rate-weighted entries into their node rows yields the
-    full gradient.
+    p_{j+1} of its path (zero at padded positions), excluding the request's
+    weight.  Summing weighted entries into their node rows yields the
+    gradient.
     """
     R, P = geom.nodes.shape
     F = X.shape[1]
@@ -57,49 +46,43 @@ def x_position_contributions(
             G[:, j, :] = geom.taus[:, j, None] + Y[:, j + 1, :] * G[:, j + 1, :]
     delay_part = Q[:, None, :] * pref_prev * G
 
-    # leave-one-out availability products over the availability positions
-    Ya = 1.0 - X[geom.nodes, :]
-    Ya[~geom.avail_mask, :] = 1.0
-    CPa = np.cumprod(Ya, axis=1)
-    SPa = np.cumprod(Ya[:, ::-1, :], axis=1)[:, ::-1, :]
-    pref_a = np.ones_like(CPa)
-    pref_a[:, 1:, :] = CPa[:, :-1, :]
-    suff_a = np.ones_like(SPa)
-    suff_a[:, :-1, :] = SPa[:, 1:, :]
-    loo = pref_a * suff_a
-    loo[~geom.avail_mask, :] = 0.0
+    # leave-one-out availability products over the path positions
+    SP = np.cumprod(Y[:, ::-1, :], axis=1)[:, ::-1, :]
+    suff = np.ones_like(SP)
+    suff[:, :-1, :] = SP[:, 1:, :]
+    loo = pref_prev * suff
+    loo[~geom.mask, :] = 0.0
     avail_part = (mu * Q)[:, None, :] * loo
 
     return -(delay_part + avail_part)
 
 
-def grad_x(s_or_geom, S: PrimalState, mu: np.ndarray) -> np.ndarray:
-    """|V| x |F| matrix of dL/dx_{v,f'}."""
-    geom = _as_geometry(s_or_geom)
+def grad_x(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
+           weights: np.ndarray | None = None) -> np.ndarray:
+    """|V| x |F| matrix of dL/dx_{v,f'}; ``weights`` default to the rates."""
+    w = geom.rates if weights is None else weights
     contrib = x_position_contributions(geom, S.X, S.Q, mu)
-    weighted = geom.rates[:, None, None] * contrib
+    weighted = w[:, None, None] * contrib
     V, F = geom.scenario.num_nodes, geom.scenario.num_contents
     gX = np.zeros((V, F))
     np.add.at(gX, geom.nodes.ravel(), weighted.reshape(-1, F))
     return gX
 
 
-def grad_q(s_or_geom, S: PrimalState, mu: np.ndarray) -> np.ndarray:
-    """|R| x |F| matrix of dL/dq_{(f,p),f'}."""
-    geom = _as_geometry(s_or_geom)
-    return geom.rates[:, None] * q_bracket(geom, S.X, mu)
+def grad_q(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
+           weights: np.ndarray | None = None) -> np.ndarray:
+    """|R| x |F| matrix of dL/dq_{(f,p),f'}: weight * (t + alpha*d + mu*prod(1 - x))."""
+    w = geom.rates if weights is None else weights
+    bracket = (geom.delays(S.X) + geom.scenario.alpha * geom.d_rows
+               + mu * geom.availability_products(S.X))
+    return w[:, None] * bracket
 
 
-def grad_mu(s_or_geom, S: PrimalState) -> np.ndarray:
-    """|R| x |F| matrix of dL/dmu, i.e. the rate-weighted violations."""
-    geom = _as_geometry(s_or_geom)
-    return geom.rates[:, None] * mu_bracket(geom, S.X, S.Q)
-
-
-def _as_geometry(s_or_geom) -> PathGeometry:
-    if isinstance(s_or_geom, PathGeometry):
-        return s_or_geom
-    return PathGeometry(s_or_geom)
+def grad_mu(geom: PathGeometry, S: PrimalState,
+            weights: np.ndarray | None = None) -> np.ndarray:
+    """|R| x |F| matrix of dL/dmu: the weighted violations q * prod(1 - x)."""
+    w = geom.rates if weights is None else weights
+    return w[:, None] * (S.Q * geom.availability_products(S.X))
 
 
 def fd_gradient(
@@ -108,7 +91,6 @@ def fd_gradient(
     mu: np.ndarray,
     which: str,
     step: float = 1e-6,
-    exclude_terminal: bool = False,
 ) -> np.ndarray:
     """Central-difference gradient block of the Lagrangian.
 
@@ -118,7 +100,7 @@ def fd_gradient(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    geom = PathGeometry(s, exclude_terminal=exclude_terminal)
+    geom = PathGeometry(s)
 
     if which == "x":
         base = S.X

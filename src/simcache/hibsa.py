@@ -29,7 +29,6 @@ class SolverConfig:
     seed: int = 0
     random_init: bool = False
     pin_delivery: bool = False  # adaptive-caching mode: Q fixed at identity
-    availability_excludes_terminal: bool = False
 
     def __post_init__(self):
         if self.eta_s <= 0 or self.eta_mu <= 0 or self.delta <= 0:
@@ -125,17 +124,16 @@ def projected_primal_update(
     return PrimalState(X, Q)
 
 
-def primal_step(s_or_geom, S: PrimalState, mu: np.ndarray,
+def primal_step(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
                 cfg: SolverConfig) -> PrimalState:
     """One descent step on both primal blocks with step eta_s."""
-    geom = _as_geometry(s_or_geom, cfg)
     gx = grad_x(geom, S, mu)
     gq = grad_q(geom, S, mu) if not cfg.pin_delivery else np.zeros_like(S.Q)
     return projected_primal_update(geom, S, gx, gq, cfg.eta_s, cfg.eta_s,
                                    cfg.pin_delivery)
 
 
-def dual_step(s_or_geom, S_next: PrimalState, mu: np.ndarray, n: int,
+def dual_step(geom: PathGeometry, S_next: PrimalState, mu: np.ndarray, n: int,
               cfg: SolverConfig) -> np.ndarray:
     """Perturbed ascent: ((1 - gamma(n) eta_mu) mu + eta_mu grad_mu)^+,
     with the mu-gradient evaluated at the fresh primal iterate.
@@ -146,7 +144,6 @@ def dual_step(s_or_geom, S_next: PrimalState, mu: np.ndarray, n: int,
     violations persist."""
     if n < 1:
         raise ValueError("iteration counter starts at 1")
-    geom = _as_geometry(s_or_geom, cfg)
     gamma = 1.0 / (cfg.eta_mu * n ** 0.25)
     raw = (1.0 - gamma * cfg.eta_mu) * mu + cfg.eta_mu * grad_mu(geom, S_next)
     return clamp_dual(raw)
@@ -172,20 +169,16 @@ def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def round_delivery(s: Scenario, X_int: np.ndarray, Q: np.ndarray,
-                   exclude_terminal: bool = False) -> np.ndarray:
+def round_delivery(geom: PathGeometry, X_int: np.ndarray,
+                   Q: np.ndarray) -> np.ndarray:
     """Per request: among contents available on the path under the rounded
     caching, pick the largest fractional delivery value (ties to smaller
     content id); the requested content is always a feasible fallback."""
-    geom = PathGeometry(s, exclude_terminal=exclude_terminal)
     avail = geom.availability_products(X_int) <= 0.0
+    best = np.argmax(np.where(avail, Q, -np.inf), axis=1)
+    choice = np.where(avail.any(axis=1), best, geom.req_content)
     out = np.zeros_like(Q)
-    for i, r in enumerate(s.requests):
-        if not avail[i].any():
-            out[i, r.content] = 1.0
-            continue
-        masked = np.where(avail[i], Q[i], -np.inf)
-        out[i, int(np.argmax(masked))] = 1.0
+    out[np.arange(Q.shape[0]), choice] = 1.0
     return out
 
 
@@ -213,7 +206,7 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     """Iterate primal/dual steps until |L(n+1) - L(n)| <= delta or the
     iteration budget runs out, then round greedily."""
     cfg = cfg or SolverConfig()
-    geom = PathGeometry(s, exclude_terminal=cfg.availability_excludes_terminal)
+    geom = PathGeometry(s)
     S = initial_state(s, cfg)
     mu = np.zeros((s.num_requests, s.num_contents))
     trace = SolveTrace()
@@ -223,10 +216,8 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     for n in range(1, cfg.max_iters + 1):
         S = primal_step(geom, S, mu, cfg)
         mu = dual_step(geom, S, mu, n, cfg)
-        t = geom.delays(S.X)
-        h = S.Q * geom.availability_products(S.X)
-        ed = float(np.dot(geom.rates, np.sum(S.Q * t, axis=1)))
-        dc = float(np.dot(geom.rates, np.sum(S.Q * geom.d_rows, axis=1)))
+        ed, dc = geom.expected_delay(S), geom.dissimilarity_cost(S)
+        h = geom.violations(S.X, S.Q)
         obj = ed + s.alpha * dc
         L = obj + float(np.dot(geom.rates, np.sum(mu * h, axis=1)))
         trace.rows.append((
@@ -240,13 +231,7 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     trace.stop_reason = stop_reason
     trace.iterations = n
     X_int = round_caching(s, S.X)
-    Q_int = round_delivery(s, X_int, S.Q,
-                           exclude_terminal=cfg.availability_excludes_terminal)
+    Q_int = round_delivery(geom, X_int, S.Q)
     rounded = evaluate_integer(geom, X_int, Q_int)
     return SolveResult(fractional=S, dual=mu, rounded=rounded, trace=trace)
 
-
-def _as_geometry(s_or_geom, cfg: SolverConfig) -> PathGeometry:
-    if isinstance(s_or_geom, PathGeometry):
-        return s_or_geom
-    return PathGeometry(s_or_geom, exclude_terminal=cfg.availability_excludes_terminal)

@@ -181,7 +181,9 @@ def validate_scenario(s: Scenario) -> list:
     for (u, v), tau in s.network.delays.items():
         if not (0 <= u < V and 0 <= v < V):
             out.append(Violation("EdgeEndpointUnknown", f"edge ({u},{v}) has undeclared endpoint"))
-        if not tau > 0:
+        if not np.isfinite(tau):
+            out.append(Violation("NonfiniteEdgeDelay", f"edge ({u},{v}) has delay {tau}"))
+        elif not tau > 0:
             out.append(Violation("NonpositiveEdgeDelay", f"edge ({u},{v}) has delay {tau}"))
     if V >= 1 and not s.network.is_connected():
         out.append(Violation("DisconnectedNetwork", "graph is not connected"))
@@ -211,13 +213,17 @@ def validate_scenario(s: Scenario) -> list:
         if p[-1] not in s.sources[r.content]:
             out.append(Violation("TerminalNotSource",
                                  f"request {i} path ends at {p[-1]}, not a source of {r.content}"))
-        if r.rate < 0:
+        if not np.isfinite(r.rate):
+            out.append(Violation("NonfiniteRate", f"request {i} rate {r.rate}"))
+        elif r.rate < 0:
             out.append(Violation("NegativeRate", f"request {i} rate {r.rate}"))
 
     if s.dissimilarity.shape != (F, F):
         out.append(Violation("DissimilarityShape",
                              f"expected {(F, F)}, got {s.dissimilarity.shape}"))
     else:
+        if not np.all(np.isfinite(s.dissimilarity)):
+            out.append(Violation("NonfiniteDissimilarity", "matrix has NaN or infinite entries"))
         diag = np.diagonal(s.dissimilarity)
         if np.any(diag != 0):
             bad = int(np.nonzero(diag)[0][0])
@@ -230,6 +236,8 @@ def validate_scenario(s: Scenario) -> list:
     elif np.any(s.capacities < 0):
         out.append(Violation("NegativeCapacity", "capacities must be nonnegative"))
 
-    if s.alpha < 0:
+    if not np.isfinite(s.alpha):
+        out.append(Violation("NonfiniteAlpha", f"alpha {s.alpha}"))
+    elif s.alpha < 0:
         out.append(Violation("NegativeAlpha", f"alpha {s.alpha}"))
     return out

@@ -1,17 +1,16 @@
 """Slotted online optimization driven by Poisson request arrivals.
 
-Each slot draws Poisson(rate * T) instances per request, serves them from
-the current rounded caches using the fractional delivery weights, builds
-stochastic gradient estimates from the observed requests, applies the
-same projected primal step and perturbed dual step as the offline solver
-(slot index as the iteration counter), and re-rounds for the next slot.
-By default both primal blocks, caching (eta_x) and delivery (eta_q),
-take the offline step size ``SolverConfig.eta_s``.
-
-The gradient estimates replace each request's unknown arrival rate with
-its observed arrival count divided by the slot length; since the count's
-expectation is rate * T, the estimates are unbiased for the analytic
-gradients at the current state.
+Each slot draws Poisson(rate * T) instances per request and serves them
+with the previous slot's rounded delivery (for slot 1, the rounding of the
+initial state).  It then evaluates the offline gradient kernels with each
+request's rate replaced by its observed arrival count / T, applies the
+offline projected primal step and perturbed dual update (slot index as the
+iteration counter), and re-rounds for the next slot.  The mu-gradient is
+taken at the iterate that served the slot, before the primal step, while
+the offline solver takes it at the fresh iterate.  By default both primal
+blocks, caching (eta_x) and delivery (eta_q), take the offline step size
+``SolverConfig.eta_s``.  Since an arrival count has expectation rate * T,
+the estimates are unbiased for the analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws.
@@ -20,12 +19,15 @@ so adding or removing requests never perturbs the others' draws.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import PathGeometry, PrimalState
-from .gradients import mu_bracket, q_bracket, x_position_contributions
+from .gradients import grad_mu, grad_q, grad_x
+# not used here: bench/test_bench.py checks that the tracer restores this
+# name in every simcache module that holds it, this one included
+from .gradients import x_position_contributions  # noqa: F401
 from .hibsa import (SolverConfig, initial_state,
                     projected_primal_update, round_caching, round_delivery)
 from .model import Scenario
@@ -41,7 +43,6 @@ class OnlineConfig:
     num_slots: int = 1000
     seed: int = 0
     delay_window: int = 10
-    availability_excludes_terminal: bool = False
 
     def __post_init__(self):
         if self.slot_length <= 0:
@@ -77,28 +78,8 @@ class RequestStreams:
                          for g, lam in zip(self.generators, rates)], dtype=int)
 
 
-def draw_slot_requests(s: Scenario, T: float, streams: RequestStreams) -> list:
-    """Multiset of request indices observed in one slot, in index order."""
-    counts = streams.draw_counts(s.rates(), T)
-    out: list[int] = []
-    for i, c in enumerate(counts):
-        out.extend([i] * int(c))
-    return out
-
-
-def serve_request(s_or_geom, X_rounded: np.ndarray, Q: np.ndarray, r: int) -> int:
-    """Content delivered for request r: argmax of the fractional delivery
-    row over contents available on the path under the rounded caches
-    (ties to smaller content id; the requested content is the fallback)."""
-    geom = s_or_geom if isinstance(s_or_geom, PathGeometry) else PathGeometry(s_or_geom)
-    avail = geom.availability_products(X_rounded)[r] <= 0.0
-    if not avail.any():
-        return int(geom.req_content[r])
-    return int(np.argmax(np.where(avail, Q[r], -np.inf)))
-
-
 def stochastic_gradients(
-    s_or_geom,
+    geom: PathGeometry,
     S: PrimalState,
     mu: np.ndarray,
     observed,
@@ -106,35 +87,13 @@ def stochastic_gradients(
 ) -> tuple:
     """Unbiased per-slot gradient estimates from observed request arrivals.
 
-    ``observed`` is the multiset of request indices seen this slot.  Each
-    arrival of request r contributes that request's full rate-free bracket
-    rows (over all contents) of the analytic derivatives, and the sums are
-    divided by the slot length.  Requests with no arrivals contribute
-    nothing, so the estimate has expectation equal to the analytic
-    gradients with each rate replaced by count / T.
+    ``observed`` is the multiset of request indices seen this slot.  The
+    estimates are the analytic gradients (x, q, mu) with each request's
+    rate replaced by its arrival count / T, so requests with no arrivals
+    contribute nothing.
     """
-    geom = s_or_geom if isinstance(s_or_geom, PathGeometry) else PathGeometry(s_or_geom)
-    s = geom.scenario
-    V, F, R = s.num_nodes, s.num_contents, s.num_requests
-    gx = np.zeros((V, F))
-    gq = np.zeros((R, F))
-    gmu = np.zeros((R, F))
-    if len(observed) == 0:
-        return gx, gq, gmu
-
-    counts = np.zeros(R)
-    for r in observed:
-        counts[r] += 1.0
-
-    gq = counts[:, None] * q_bracket(geom, S.X, mu) / T
-    gmu = counts[:, None] * mu_bracket(geom, S.X, S.Q) / T
-
-    contrib = x_position_contributions(geom, S.X, S.Q, mu)  # (R, P, F)
-    # weight each request's per-position bracket rows by its arrival count
-    # and scatter into node rows
-    weights = counts[:, None, None] * contrib / T
-    np.add.at(gx, geom.nodes.ravel(), weights.reshape(-1, F))
-    return gx, gq, gmu
+    w = np.bincount(observed, minlength=geom.num_requests) / T
+    return grad_x(geom, S, mu, w), grad_q(geom, S, mu, w), grad_mu(geom, S, w)
 
 
 @dataclass
@@ -147,14 +106,12 @@ class OnlineResult:
 
 def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     """Run the slotted online scheme; deterministic given the seed."""
-    geom = PathGeometry(s, exclude_terminal=cfg.availability_excludes_terminal)
-    base = SolverConfig(availability_excludes_terminal=cfg.availability_excludes_terminal)
-    S = initial_state(s, base)
+    geom = PathGeometry(s)
+    S = initial_state(s, SolverConfig())
     mu = np.zeros((s.num_requests, s.num_contents))
     streams = RequestStreams(cfg.seed, s.num_requests)
     X_int = round_caching(s, S.X)
-    Q_int = round_delivery(s, X_int, S.Q,
-                           exclude_terminal=cfg.availability_excludes_terminal)
+    Q_int = round_delivery(geom, X_int, S.Q)
 
     delay_hist: deque = deque(maxlen=cfg.delay_window)
     dissim_hist: deque = deque(maxlen=cfg.delay_window)
@@ -163,7 +120,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     for t in range(1, cfg.num_slots + 1):
         counts = streams.draw_counts(geom.rates, cfg.slot_length)
         rounded_delays = geom.delays(X_int)
-        avail = geom.availability_products(X_int) <= 0.0
+        served = Q_int.argmax(axis=1)
         triples = []
         slot_delay = 0.0
         slot_dissim = 0.0
@@ -171,11 +128,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             c = int(counts[r])
             if c == 0:
                 continue
-            row = avail[r]
-            if row.any():
-                f_prime = int(np.argmax(np.where(row, S.Q[r], -np.inf)))
-            else:
-                f_prime = int(geom.req_content[r])
+            f_prime = int(served[r])
             delay = float(rounded_delays[r, f_prime])
             dis = float(s.dissimilarity[geom.req_content[r], f_prime])
             for _ in range(c):
@@ -192,8 +145,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
         X_new = round_caching(s, S.X)
         churn = int(np.sum(X_new != X_int))
         X_int = X_new
-        Q_int = round_delivery(s, X_int, S.Q,
-                               exclude_terminal=cfg.availability_excludes_terminal)
+        Q_int = round_delivery(geom, X_int, S.Q)
 
         delay_hist.append(slot_delay)
         dissim_hist.append(slot_dissim)

@@ -14,52 +14,18 @@ BISECT_MAX_ITERS = 200
 
 
 def project_cache_row(x: np.ndarray, capacity: int, pinned=()) -> np.ndarray:
-    """Project onto {y in [0,1]^F : sum of non-pinned y <= capacity},
-    with pinned coordinates set to exactly 1.
-
-    Clipping to [0,1] is the projection unless the clipped budget is
-    exceeded; then a uniform shift theta with re-clipping is found by
-    bisection (the KKT form of the capped-simplex projection).
-    """
+    """Project onto {y in [0,1]^F : sum of non-pinned y <= capacity}, with
+    pinned coordinates set to exactly 1 (one row of project_cache_matrix)."""
     x = np.asarray(x, dtype=float)
-    out = np.clip(x, 0.0, 1.0)
-    pinned = list(pinned)
-    free = np.ones(x.shape[0], dtype=bool)
-    free[pinned] = False
-    if capacity <= 0:
-        out[free] = 0.0
-        out[~free] = 1.0
-        return out
-    if out[free].sum() <= capacity:
-        out[~free] = 1.0
-        return out
-
-    xf = x[free]
-    lo, hi = 0.0, float(xf.max())
-    for _ in range(BISECT_MAX_ITERS):
-        theta = 0.5 * (lo + hi)
-        total = np.clip(xf - theta, 0.0, 1.0).sum()
-        if total > capacity:
-            lo = theta
-        else:
-            hi = theta
-        if hi - lo <= BISECT_TOL:
-            break
-    out[free] = np.clip(xf - 0.5 * (lo + hi), 0.0, 1.0)
-    out[~free] = 1.0
-    return out
+    pins = np.zeros((1, x.shape[0]), dtype=bool)
+    pins[0, list(pinned)] = True
+    return project_cache_matrix(x[None, :], np.array([capacity]), pins)[0]
 
 
 def project_delivery_row(q: np.ndarray) -> np.ndarray:
     """Project onto the probability simplex {y >= 0, sum y = 1}
-    (sort-and-threshold)."""
-    q = np.asarray(q, dtype=float)
-    u = np.sort(q)[::-1]
-    css = np.cumsum(u) - 1.0
-    j = np.arange(1, q.shape[0] + 1)
-    rho = np.nonzero(u - css / j > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(q - theta, 0.0)
+    (one row of project_delivery_matrix)."""
+    return project_delivery_matrix(np.asarray(q, dtype=float)[None, :])[0]
 
 
 def clamp_dual(mu: np.ndarray) -> np.ndarray:
@@ -71,8 +37,11 @@ def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
                          source_mask: np.ndarray) -> np.ndarray:
     """Row-wise cache projection over all nodes, vectorized.
 
-    Equivalent to applying project_cache_row per node; bisection runs
-    simultaneously on every over-capacity row.
+    Per row: clipping to [0,1] is the projection unless the clipped budget
+    of the non-pinned entries is exceeded; then a uniform shift theta with
+    re-clipping is found by bisection (the KKT form of the capped-simplex
+    projection), simultaneously on every over-capacity row.  Pinned
+    entries are set to exactly 1.
     """
     out = np.clip(X, 0.0, 1.0)
     out[source_mask] = 1.0
@@ -110,7 +79,8 @@ def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
 
 
 def project_delivery_matrix(Q: np.ndarray) -> np.ndarray:
-    """Row-wise simplex projection over all requests, vectorized."""
+    """Row-wise simplex projection over all requests, vectorized
+    (sort-and-threshold)."""
     u = np.sort(Q, axis=1)[:, ::-1]
     css = np.cumsum(u, axis=1) - 1.0
     j = np.arange(1, Q.shape[1] + 1)[None, :]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,85 +202,90 @@ def _require(doc: dict, key: str):
     return doc[key]
 
 
+@contextmanager
+def _parsing(key: str):
+    """Report an unknown name, a missing field, or a value of the wrong type
+    or form under ``key`` as a ScenarioFormatError naming the key."""
+    try:
+        yield
+    except ScenarioFormatError:
+        raise
+    except LookupError as exc:
+        raise ScenarioFormatError(f"unknown or missing name {exc} under {key!r}") from exc
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise ScenarioFormatError(f"malformed value under {key!r}: {exc}") from exc
+
+
 def load_scenario(path) -> Scenario:
     """Parse the JSON scenario document back into a Scenario.
 
     A dissimilarity value of {"power_law": {"beta": b}} is expanded to the
-    dense |f - f'|^b matrix on load.
+    dense |f - f'|^b matrix on load.  Every malformed document raises
+    ScenarioFormatError.
     """
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError("top level must be an object")
 
-    node_names = _require(doc, "nodes")
-    node_index = {name: i for i, name in enumerate(node_names)}
-    if len(node_index) != len(node_names):
-        raise ScenarioFormatError("duplicate entries under 'nodes'")
-    content_names = _require(doc, "contents")
-    content_index = {name: i for i, name in enumerate(content_names)}
-    if len(content_index) != len(content_names):
-        raise ScenarioFormatError("duplicate entries under 'contents'")
-
-    def node(name, where):
-        if name not in node_index:
-            raise ScenarioFormatError(f"unknown node {name!r} under {where!r}")
-        return node_index[name]
-
-    def content(name, where):
-        if name not in content_index:
-            raise ScenarioFormatError(f"unknown content {name!r} under {where!r}")
-        return content_index[name]
+    with _parsing("nodes"):
+        node_names = _require(doc, "nodes")
+        node_index = {name: i for i, name in enumerate(node_names)}
+        if len(node_index) != len(node_names):
+            raise ScenarioFormatError("duplicate entries under 'nodes'")
+    with _parsing("contents"):
+        content_names = _require(doc, "contents")
+        content_index = {name: i for i, name in enumerate(content_names)}
+        if len(content_index) != len(content_names):
+            raise ScenarioFormatError("duplicate entries under 'contents'")
 
     delays = {}
-    for e in _require(doc, "edges"):
-        try:
+    with _parsing("edges"):
+        for e in _require(doc, "edges"):
             u, v, tau = e["u"], e["v"], e["delay"]
-        except (KeyError, TypeError) as exc:
-            raise ScenarioFormatError(f"malformed entry under 'edges': {e!r}") from exc
-        delays[edge_key(node(u, "edges"), node(v, "edges"))] = float(tau)
+            delays[edge_key(node_index[u], node_index[v])] = float(tau)
     network = Network(num_nodes=len(node_names), delays=delays)
 
-    src_doc = _require(doc, "sources")
     sources = []
-    for f, name in enumerate(content_names):
-        if name not in src_doc:
-            raise ScenarioFormatError(f"missing content {name!r} under 'sources'")
-        sources.append(frozenset(node(v, "sources") for v in src_doc[name]))
+    with _parsing("sources"):
+        src_doc = _require(doc, "sources")
+        for name in content_names:
+            sources.append(frozenset(node_index[v] for v in src_doc[name]))
 
-    cap_doc = _require(doc, "capacities")
     capacities = np.zeros(len(node_names), dtype=int)
-    for name, c in cap_doc.items():
-        capacities[node(name, "capacities")] = int(c)
+    with _parsing("capacities"):
+        for name, c in _require(doc, "capacities").items():
+            capacities[node_index[name]] = int(c)
 
     requests = []
-    for i, r in enumerate(_require(doc, "requests")):
-        try:
+    with _parsing("requests"):
+        for r in _require(doc, "requests"):
             f, p, rate = r["content"], r["path"], r["rate"]
-        except (KeyError, TypeError) as exc:
-            raise ScenarioFormatError(f"malformed request #{i}: {r!r}") from exc
-        requests.append(Request(
-            content=content(f, "requests"),
-            path=Path(tuple(node(v, "requests") for v in p)),
-            rate=float(rate),
-        ))
+            requests.append(Request(
+                content=content_index[f],
+                path=Path(tuple(node_index[v] for v in p)),
+                rate=float(rate),
+            ))
 
     F = len(content_names)
-    d_doc = _require(doc, "dissimilarity")
-    if isinstance(d_doc, dict):
-        if "power_law" not in d_doc or "beta" not in d_doc.get("power_law", {}):
-            raise ScenarioFormatError("'dissimilarity' object must be {'power_law': {'beta': ...}}")
-        dissimilarity = power_law_dissimilarity(F, float(d_doc["power_law"]["beta"]))
-    else:
-        dissimilarity = np.array(d_doc, dtype=float)
-        if dissimilarity.shape != (F, F):
-            raise ScenarioFormatError(
-                f"'dissimilarity' must be {F}x{F}, got {dissimilarity.shape}")
+    with _parsing("dissimilarity"):
+        d_doc = _require(doc, "dissimilarity")
+        if isinstance(d_doc, dict):
+            if "power_law" not in d_doc or "beta" not in d_doc.get("power_law", {}):
+                raise ScenarioFormatError(
+                    "'dissimilarity' object must be {'power_law': {'beta': ...}}")
+            dissimilarity = power_law_dissimilarity(F, float(d_doc["power_law"]["beta"]))
+        else:
+            dissimilarity = np.array(d_doc, dtype=float)
+            if dissimilarity.shape != (F, F):
+                raise ScenarioFormatError(
+                    f"'dissimilarity' must be {F}x{F}, got {dissimilarity.shape}")
 
-    alpha = float(_require(doc, "alpha"))
+    with _parsing("alpha"):
+        alpha = float(_require(doc, "alpha"))
     return Scenario(
         catalog=Catalog(F),
         network=network,

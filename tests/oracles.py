@@ -31,21 +31,19 @@ def oracle_objective(s, X, Q):
     return total
 
 
-def oracle_h(s, X, Q, r, f_prime, exclude_terminal=False):
-    p = s.requests[r].path.nodes
-    stop = len(p) - 1 if exclude_terminal else len(p)
+def oracle_h(s, X, Q, r, f_prime):
     prod = 1.0
-    for k in range(stop):
-        prod *= 1.0 - X[p[k], f_prime]
+    for v in s.requests[r].path.nodes:
+        prod *= 1.0 - X[v, f_prime]
     return Q[r, f_prime] * prod
 
 
-def oracle_lagrangian(s, X, Q, mu, exclude_terminal=False):
+def oracle_lagrangian(s, X, Q, mu):
     total = oracle_objective(s, X, Q)
     for r, req in enumerate(s.requests):
         for f_prime in range(s.num_contents):
             total += req.rate * mu[r, f_prime] \
-                * oracle_h(s, X, Q, r, f_prime, exclude_terminal)
+                * oracle_h(s, X, Q, r, f_prime)
     return total
 
 

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from simcache.cli import main
@@ -71,6 +72,44 @@ class TestValidate:
     def test_missing_file_is_usage_error(self, tmp_path):
         res = run(["validate", "--scenario", str(tmp_path / "nope.json")])
         assert res.exit_code == 2
+
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["requests"][0].update(rate="fast"),
+        lambda d: d["capacities"].update(v0="big"),
+        lambda d: d.update(capacities=list(d["capacities"].values())),
+        lambda d: d.update(edges=5),
+        lambda d: d["dissimilarity"][0].pop(),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_malformed_field_is_io_error(self, tmp_path, mutate, command):
+        p = write_scenario(tmp_path)
+        doc = json.loads(p.read_text())
+        mutate(doc)
+        p.write_text(json.dumps(doc))
+        args = [command, "--scenario", str(p)]
+        if command == "solve":
+            args += ["--out", str(tmp_path / "run")]
+        assert run(args).exit_code == 3
+
+
+class TestNonfiniteScenario:
+    @pytest.mark.parametrize("mutate,code", [
+        (lambda d: d.update(alpha=float("nan")), "NonfiniteAlpha"),
+        (lambda d: d["requests"][0].update(rate=float("inf")), "NonfiniteRate"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "online"])
+    def test_rejected_before_solving(self, tmp_path, mutate, code, command):
+        p = write_scenario(tmp_path)
+        doc = json.loads(p.read_text())
+        mutate(doc)
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        res = run([command, "--scenario", str(p), "--max-iters", "50",
+                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert f"violation: {code}" in res.output
+        assert not out.exists()
 
 
 class TestSolve:

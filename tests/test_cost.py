@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
-from simcache.cost import (PathGeometry, PrimalState, availability_violation,
-                           delivery_cost, delivery_delay, dissimilarity_cost,
-                           expected_delay, lagrangian, objective)
+from simcache.cost import PathGeometry, PrimalState
 
 from conftest import make_line_scenario, random_box_state
-from oracles import oracle_lagrangian, oracle_objective
+from oracles import oracle_delay, oracle_h, oracle_lagrangian, oracle_objective
 
 
 def state_for(s, X=None, Q=None):
@@ -21,31 +19,32 @@ class TestDeliveryDelay:
     def test_content_at_ingress_kills_delay(self, line_scenario):
         X = np.zeros((3, 2))
         X[0, 1] = 1.0
-        assert delivery_delay(line_scenario, X, 0, 1) == 0.0
+        assert PathGeometry(line_scenario).delays(X)[0, 1] == 0.0
 
     def test_empty_caches_sum_all_edges(self, line_scenario):
         X = np.zeros((3, 2))
-        assert delivery_delay(line_scenario, X, 0, 1) == pytest.approx(7.0)
+        assert PathGeometry(line_scenario).delays(X)[0, 1] == pytest.approx(7.0)
 
     def test_fractional_hand_value(self, line_scenario):
         # tau = (2, 5); x = 0.5 at both upstream nodes:
         # 2 * 0.5 + 5 * 0.25 = 2.25
         X = np.zeros((3, 2))
         X[0, 1] = X[1, 1] = 0.5
-        assert delivery_delay(line_scenario, X, 0, 1) == pytest.approx(2.25)
+        assert PathGeometry(line_scenario).delays(X)[0, 1] == pytest.approx(2.25)
 
     def test_monotone_nonincreasing_in_x(self, small_scenario):
         rng = np.random.default_rng(7)
         s = small_scenario
+        geom = PathGeometry(s)
         for _ in range(30):
             S = random_box_state(s, rng)
             r = int(rng.integers(0, s.num_requests))
             f = int(rng.integers(0, s.num_contents))
             v = s.requests[r].path.nodes[
                 rng.integers(0, len(s.requests[r].path))]
-            before = delivery_delay(s, S.X, r, f)
+            before = geom.delays(S.X)[r, f]
             S.X[v, f] = min(1.0, S.X[v, f] + 0.3)
-            assert delivery_delay(s, S.X, r, f) <= before + 1e-12
+            assert geom.delays(S.X)[r, f] <= before + 1e-12
 
     def test_bounded_by_path_delay(self, small_scenario):
         rng = np.random.default_rng(8)
@@ -56,41 +55,42 @@ class TestDeliveryDelay:
             f = int(rng.integers(0, s.num_contents))
             p = s.requests[r].path.nodes
             full = sum(s.network.delay(a, b) for a, b in zip(p, p[1:]))
-            assert -1e-12 <= delivery_delay(s, S.X, r, f) <= full + 1e-12
+            assert -1e-12 <= PathGeometry(s).delays(S.X)[r, f] <= full + 1e-12
 
 
 class TestDeliveryCost:
     def test_requested_content_is_delay_only(self, line_scenario):
         X = np.zeros((3, 2))
-        assert delivery_cost(line_scenario, X, 0, 0) == pytest.approx(7.0)
+        assert PathGeometry(line_scenario).cost_matrix(X)[0, 0] == pytest.approx(7.0)
 
     def test_alpha_zero_equals_delay(self):
         s = make_line_scenario(alpha=0.0)
         X = np.zeros((3, 2))
-        assert delivery_cost(s, X, 0, 1) == delivery_delay(s, X, 0, 1)
+        geom = PathGeometry(s)
+        assert geom.cost_matrix(X)[0, 1] == geom.delays(X)[0, 1]
 
     def test_weighted_dissimilarity(self):
         s = make_line_scenario(alpha=10.0)
         X = np.zeros((3, 2))
-        assert delivery_cost(s, X, 0, 1) == pytest.approx(7.0 + 10.0 * 1.0)
+        assert PathGeometry(s).cost_matrix(X)[0, 1] == pytest.approx(7.0 + 10.0 * 1.0)
 
 
 class TestObjective:
     def test_zero_rates(self):
         s = make_line_scenario(rate=0.0)
         S = state_for(s, Q=[[0.5, 0.5]])
-        assert objective(s, S) == 0.0
+        assert PathGeometry(s).objective(S) == 0.0
 
     def test_one_hot_delivery(self):
         s = make_line_scenario(rate=3.0, alpha=2.0)
         S = state_for(s, Q=[[0.0, 1.0]])
-        assert objective(s, S) == pytest.approx(3.0 * (7.0 + 2.0 * 1.0))
+        assert PathGeometry(s).objective(S) == pytest.approx(3.0 * (7.0 + 2.0 * 1.0))
 
     def test_matches_bruteforce_oracle(self, small_scenario):
         rng = np.random.default_rng(9)
         for _ in range(10):
             S = random_box_state(small_scenario, rng)
-            assert objective(small_scenario, S) == pytest.approx(
+            assert PathGeometry(small_scenario).objective(S) == pytest.approx(
                 oracle_objective(small_scenario, S.X, S.Q), rel=1e-12)
 
 
@@ -99,34 +99,25 @@ class TestAvailabilityViolation:
         s = line_scenario
         X = s.source_mask().astype(float)
         S = PrimalState(X, np.ones((1, 2)))
-        assert availability_violation(s, S, 0, 0) == 0.0
+        assert PathGeometry(s).violations(S.X, S.Q)[0, 0] == 0.0
 
     def test_no_holder_full_violation(self, line_scenario):
         S = state_for(line_scenario, Q=[[1.0, 1.0]])
         # content 1 not cached anywhere and path sources only pin at load
-        assert availability_violation(line_scenario, S, 0, 1) == 1.0
+        assert PathGeometry(line_scenario).violations(S.X, S.Q)[0, 1] == 1.0
 
     def test_fractional_hand_value(self):
         s = make_line_scenario(taus=(2.0,))  # |p| = 2
         S = state_for(s, X=[[0.5, 0.5], [0.5, 0.5]], Q=[[0.5, 0.5]])
-        assert availability_violation(s, S, 0, 1) == pytest.approx(0.125)
+        assert PathGeometry(s).violations(S.X, S.Q)[0, 1] == pytest.approx(0.125)
 
     def test_within_unit_interval(self, small_scenario):
         rng = np.random.default_rng(10)
+        geom = PathGeometry(small_scenario)
         for _ in range(20):
             S = random_box_state(small_scenario, rng, lo=0.0, hi=1.0)
-            for r in range(small_scenario.num_requests):
-                for f in range(small_scenario.num_contents):
-                    h = availability_violation(small_scenario, S, r, f)
-                    assert 0.0 <= h <= 1.0
-
-    def test_exclude_terminal_variant(self):
-        s = make_line_scenario(taus=(2.0,))
-        S = state_for(s, X=[[0.0, 0.0], [0.0, 1.0]], Q=[[1.0, 1.0]])
-        # terminal node holds content 1: satisfied under the full product,
-        # violated when the terminal is excluded
-        assert availability_violation(s, S, 0, 1) == 0.0
-        assert availability_violation(s, S, 0, 1, exclude_terminal=True) == 1.0
+            h = geom.violations(S.X, S.Q)
+            assert np.all(h >= 0.0) and np.all(h <= 1.0)
 
 
 class TestLagrangian:
@@ -134,7 +125,8 @@ class TestLagrangian:
         rng = np.random.default_rng(12)
         S = random_box_state(small_scenario, rng)
         mu = np.zeros((small_scenario.num_requests, small_scenario.num_contents))
-        assert lagrangian(small_scenario, S, mu) == objective(small_scenario, S)
+        geom = PathGeometry(small_scenario)
+        assert geom.lagrangian(S, mu) == geom.objective(S)
 
     def test_integer_feasible_ignores_mu(self, line_scenario):
         s = line_scenario
@@ -144,14 +136,15 @@ class TestLagrangian:
         S = PrimalState(X, Q)
         mu_a = np.zeros((1, 2))
         mu_b = np.full((1, 2), 17.0)
-        assert lagrangian(s, S, mu_a) == pytest.approx(lagrangian(s, S, mu_b))
+        geom = PathGeometry(s)
+        assert geom.lagrangian(S, mu_a) == pytest.approx(geom.lagrangian(S, mu_b))
 
     def test_matches_term_oracle(self, small_scenario):
         rng = np.random.default_rng(13)
         for _ in range(10):
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 3, size=S.Q.shape)
-            assert lagrangian(small_scenario, S, mu) == pytest.approx(
+            assert PathGeometry(small_scenario).lagrangian(S, mu) == pytest.approx(
                 oracle_lagrangian(small_scenario, S.X, S.Q, mu), rel=1e-12)
 
 
@@ -159,32 +152,33 @@ class TestAggregates:
     def test_identity_objective_decomposition(self, default_scenario):
         rng = np.random.default_rng(14)
         s = default_scenario
+        geom = PathGeometry(s)
         for _ in range(10):
             S = random_box_state(s, rng)
-            total = objective(s, S)
-            parts = expected_delay(s, S) + s.alpha * dissimilarity_cost(s, S)
+            total = geom.objective(S)
+            parts = geom.expected_delay(S) + s.alpha * geom.dissimilarity_cost(S)
             assert total == pytest.approx(parts, rel=1e-9)
 
     def test_delivering_requested_zero_dissimilarity(self, line_scenario):
         S = state_for(line_scenario, Q=[[1.0, 0.0]])
-        assert dissimilarity_cost(line_scenario, S) == 0.0
+        assert PathGeometry(line_scenario).dissimilarity_cost(S) == 0.0
 
     def test_single_request_dissimilarity(self):
         d = [[0.0, 8.0], [8.0, 0.0]]
         s = make_line_scenario(dissimilarity=d)
         S = state_for(s, Q=[[0.0, 1.0]])
-        assert dissimilarity_cost(s, S) == pytest.approx(8.0)
+        assert PathGeometry(s).dissimilarity_cost(S) == pytest.approx(8.0)
 
     def test_expected_delay_ingress_hit(self, line_scenario):
         X = np.zeros((3, 2))
         X[0, 1] = 1.0
         S = state_for(line_scenario, X=X, Q=[[0.0, 1.0]])
-        assert expected_delay(line_scenario, S) == 0.0
+        assert PathGeometry(line_scenario).expected_delay(S) == 0.0
 
     def test_expected_delay_one_hot(self):
         s = make_line_scenario(rate=2.0)
         S = state_for(s, Q=[[1.0, 0.0]])
-        assert expected_delay(s, S) == pytest.approx(2.0 * 7.0)
+        assert PathGeometry(s).expected_delay(S) == pytest.approx(2.0 * 7.0)
 
 
 class TestBatchGeometry:
@@ -197,18 +191,6 @@ class TestBatchGeometry:
         avail = geom.availability_products(S.X)
         for r in range(s.num_requests):
             for f in range(s.num_contents):
-                assert t[r, f] == pytest.approx(delivery_delay(s, S.X, r, f))
-                ref = availability_violation(s, PrimalState(S.X, np.ones_like(S.Q)), r, f)
-                assert avail[r, f] == pytest.approx(ref)
-
-    def test_exclude_terminal_geometry(self, small_scenario):
-        s = small_scenario
-        geom = PathGeometry(s, exclude_terminal=True)
-        rng = np.random.default_rng(16)
-        S = random_box_state(s, rng)
-        avail = geom.availability_products(S.X)
-        for r in range(s.num_requests):
-            p = s.requests[r].path.nodes
-            for f in range(s.num_contents):
-                ref = np.prod([1 - S.X[v, f] for v in p[:-1]]) if len(p) > 1 else 1.0
+                assert t[r, f] == pytest.approx(oracle_delay(s, S.X, r, f))
+                ref = oracle_h(s, S.X, np.ones_like(S.Q), r, f)
                 assert avail[r, f] == pytest.approx(ref)

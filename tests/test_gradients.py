@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from simcache.cost import PrimalState
+from simcache.cost import PathGeometry, PrimalState
 from simcache.gradients import fd_gradient, grad_mu, grad_q, grad_x
 from simcache.model import Catalog, Network, Path, Request, Scenario
 
 from conftest import make_line_scenario, random_box_state
+from oracles import oracle_delay
 
 
 def rel_err(a, b):
@@ -23,7 +24,7 @@ class TestGradX:
         X, Q = zeros_like_state(s)
         X[:] = 0.4
         mu = np.zeros_like(Q)
-        assert np.all(grad_x(s, PrimalState(X, Q), mu) == 0.0)
+        assert np.all(grad_x(PathGeometry(s), PrimalState(X, Q), mu) == 0.0)
 
     def test_node_off_all_paths_is_zero(self):
         # star-ish line where node 0 never appears on the request path
@@ -39,7 +40,7 @@ class TestGradX:
         rng = np.random.default_rng(0)
         S = random_box_state(s, rng)
         mu = rng.uniform(0, 2, size=S.Q.shape)
-        g = grad_x(s, S, mu)
+        g = grad_x(PathGeometry(s), S, mu)
         assert np.all(g[0] == 0.0)
 
     def test_matches_finite_differences(self, small_scenario):
@@ -48,7 +49,7 @@ class TestGradX:
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 2, size=S.Q.shape)
             fd = fd_gradient(small_scenario, S, mu, "x", step=1e-6)
-            g = grad_x(small_scenario, S, mu)
+            g = grad_x(PathGeometry(small_scenario), S, mu)
             assert rel_err(g, fd).max() <= 1e-4
 
 
@@ -58,22 +59,20 @@ class TestGradQ:
         rng = np.random.default_rng(2)
         S = random_box_state(s, rng)
         mu = np.zeros_like(S.Q)
-        g = grad_q(s, S, mu)
-        from simcache.cost import delivery_cost
+        g = grad_q(PathGeometry(s), S, mu)
         for r, req in enumerate(s.requests):
             for f in range(s.num_contents):
-                assert g[r, f] == pytest.approx(
-                    req.rate * delivery_cost(s, S.X, r, f))
+                cost = oracle_delay(s, S.X, r, f) + s.alpha * s.dissimilarity[req.content, f]
+                assert g[r, f] == pytest.approx(req.rate * cost)
 
     def test_source_kills_availability_term(self, line_scenario):
         s = line_scenario
         X = s.source_mask().astype(float)
         S = PrimalState(X, np.full((1, 2), 0.5))
         mu = np.full((1, 2), 100.0)
-        g = grad_q(s, S, mu)
-        from simcache.cost import delivery_delay
+        g = grad_q(PathGeometry(s), S, mu)
         f = s.requests[0].content
-        assert g[0, f] == pytest.approx(delivery_delay(s, X, 0, f))
+        assert g[0, f] == pytest.approx(oracle_delay(s, X, 0, f))
 
     def test_matches_finite_differences(self, small_scenario):
         rng = np.random.default_rng(3)
@@ -81,7 +80,7 @@ class TestGradQ:
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 2, size=S.Q.shape)
             fd = fd_gradient(small_scenario, S, mu, "q", step=1e-6)
-            g = grad_q(small_scenario, S, mu)
+            g = grad_q(PathGeometry(small_scenario), S, mu)
             assert rel_err(g, fd).max() <= 1e-4
 
     def test_nonnegative_for_nonnegative_mu(self, small_scenario):
@@ -89,7 +88,7 @@ class TestGradQ:
         for _ in range(10):
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 5, size=S.Q.shape)
-            assert np.all(grad_q(small_scenario, S, mu) >= 0.0)
+            assert np.all(grad_q(PathGeometry(small_scenario), S, mu) >= 0.0)
 
 
 class TestGradMu:
@@ -97,13 +96,13 @@ class TestGradMu:
         s = line_scenario
         X = s.source_mask().astype(float)
         Q = np.array([[1.0, 0.0]])
-        assert np.all(grad_mu(s, PrimalState(X, Q)) == 0.0)
+        assert np.all(grad_mu(PathGeometry(s), PrimalState(X, Q)) == 0.0)
 
     def test_scaled_by_rate(self):
         s = make_line_scenario(rate=2.0)
         X = np.zeros((3, 2))
         Q = np.array([[1.0, 0.0]])
-        g = grad_mu(s, PrimalState(X, Q))
+        g = grad_mu(PathGeometry(s), PrimalState(X, Q))
         assert g[0, 0] == pytest.approx(2.0)
 
     def test_matches_finite_differences_exactly(self, small_scenario):
@@ -114,14 +113,14 @@ class TestGradMu:
             # L is linear in mu, so a large step keeps central
             # differences exact up to rounding
             fd = fd_gradient(small_scenario, S, mu, "mu", step=0.5)
-            g = grad_mu(small_scenario, S)
+            g = grad_mu(PathGeometry(small_scenario), S)
             assert rel_err(g, fd).max() <= 1e-6
 
     def test_nonnegative_in_box(self, small_scenario):
         rng = np.random.default_rng(6)
         for _ in range(10):
             S = random_box_state(small_scenario, rng, lo=0.0, hi=1.0)
-            assert np.all(grad_mu(small_scenario, S) >= 0.0)
+            assert np.all(grad_mu(PathGeometry(small_scenario), S) >= 0.0)
 
 
 class TestFdOracle:

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from simcache.cost import PathGeometry, PrimalState, availability_violation
+from simcache.cost import PathGeometry, PrimalState
 from simcache.hibsa import (SolverConfig, dual_step, identity_delivery,
                             initial_state, primal_step, round_caching,
                             round_delivery, solve_offline)
 from simcache.scenario import with_alpha
 
 from conftest import make_line_scenario, make_tiny_scenario
-from oracles import enumerate_integer_optimum
+from oracles import enumerate_integer_optimum, oracle_h
 
 
 def caching_feasible(s, X):
@@ -77,7 +77,7 @@ class TestDualStep:
         X[2] = 1.0  # source holds everything: all violations vanish at Q rows 0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.ones((1, 2))
-        out = dual_step(s, S, mu, 1, SolverConfig())
+        out = dual_step(PathGeometry(s), S, mu, 1, SolverConfig())
         # h is zero for the pair with q=0; the delivered pair has
         # h = 1 * (1-0)(1-0)(1-1) = 0 too, so grad_mu = 0 everywhere.
         assert np.allclose(out, 0.0)
@@ -89,22 +89,23 @@ class TestDualStep:
         X[2] = 1.0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.full((1, 2), 0.8)
-        out = dual_step(s, S, mu, 16, SolverConfig())
+        out = dual_step(PathGeometry(s), S, mu, 16, SolverConfig())
         assert np.allclose(out, 0.4)
 
     def test_counter_must_start_at_one(self, line_scenario):
         S = initial_state(line_scenario, SolverConfig())
         with pytest.raises(ValueError):
-            dual_step(line_scenario, S, np.zeros((1, 2)), 0, SolverConfig())
+            dual_step(PathGeometry(line_scenario), S, np.zeros((1, 2)), 0, SolverConfig())
 
     def test_bounded_under_persistent_violation(self, line_scenario):
         # With a fixed infeasible primal state the multipliers stay finite:
         # the shrinkage term balances the constant positive gradient.
         s = line_scenario
+        geom = PathGeometry(s)
         S = initial_state(s, SolverConfig(pin_delivery=True))
         mu = np.zeros((1, 2))
         for n in range(1, 2001):
-            mu = dual_step(s, S, mu, n, SolverConfig())
+            mu = dual_step(geom, S, mu, n, SolverConfig())
         assert np.all(np.isfinite(mu))
         assert np.all(mu >= 0.0)
         assert np.max(mu) < 100.0
@@ -113,7 +114,7 @@ class TestDualStep:
         rng = np.random.default_rng(3)
         S = initial_state(small_scenario, SolverConfig())
         mu = rng.uniform(size=S.Q.shape)
-        out = dual_step(small_scenario, S, mu, 5, SolverConfig())
+        out = dual_step(PathGeometry(small_scenario), S, mu, 5, SolverConfig())
         assert np.all(out >= 0.0)
 
 
@@ -124,7 +125,7 @@ class TestPrimalStep:
         S = initial_state(s, cfg)
         mu = np.zeros((s.num_requests, s.num_contents))
         for _ in range(5):
-            S = primal_step(s, S, mu, cfg)
+            S = primal_step(PathGeometry(s), S, mu, cfg)
         assert caching_feasible(s, S.X)
         assert np.allclose(S.Q.sum(axis=1), 1.0)
         assert np.all(S.Q >= -1e-12)
@@ -136,7 +137,7 @@ class TestPrimalStep:
         Q0 = S.Q.copy()
         mu = np.ones((s.num_requests, s.num_contents))
         for _ in range(5):
-            S = primal_step(s, S, mu, cfg)
+            S = primal_step(PathGeometry(s), S, mu, cfg)
         assert np.array_equal(S.Q, Q0)
 
 
@@ -164,22 +165,29 @@ class TestRounding:
         s = line_scenario
         X_int = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         Q = np.array([[0.4, 0.6]])
-        out = round_delivery(s, X_int, Q)
+        out = round_delivery(PathGeometry(s), X_int, Q)
         assert np.array_equal(out, np.array([[0.0, 1.0]]))
 
     def test_delivery_tie_goes_to_smaller_id(self, line_scenario):
         s = line_scenario
         X_int = np.ones((3, 2))
-        out = round_delivery(s, X_int, np.array([[0.5, 0.5]]))
+        out = round_delivery(PathGeometry(s), X_int, np.array([[0.5, 0.5]]))
+        assert np.array_equal(out, np.array([[1.0, 0.0]]))
+
+    def test_delivery_falls_back_to_requested(self, line_scenario):
+        # nothing is cached anywhere, not even at the source: the requested
+        # content 0 is served although the fractional row prefers content 1
+        s = line_scenario
+        out = round_delivery(PathGeometry(s), np.zeros((3, 2)), np.array([[0.1, 0.9]]))
         assert np.array_equal(out, np.array([[1.0, 0.0]]))
 
     def test_delivery_is_feasible(self, line_scenario):
         s = line_scenario
         X_int = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         Q = np.array([[0.1, 0.9]])
-        out = round_delivery(s, X_int, Q)
+        out = round_delivery(PathGeometry(s), X_int, Q)
         f = int(np.argmax(out[0]))
-        assert availability_violation(s, PrimalState(X_int, out), 0, f) == 0.0
+        assert oracle_h(s, X_int, out, 0, f) == 0.0
 
 
 class TestSolveOffline:

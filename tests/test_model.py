@@ -117,6 +117,26 @@ class TestValidateScenario:
         codes = self._codes(bad)
         assert "NegativeCapacity" in codes and "NegativeAlpha" in codes
 
+    @pytest.mark.parametrize("field,code", [
+        ("alpha", "NonfiniteAlpha"), ("rate", "NonfiniteRate"),
+        ("delay", "NonfiniteEdgeDelay"), ("dissimilarity", "NonfiniteDissimilarity"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_values(self, field, code, value):
+        s = make_line_scenario()
+        net, reqs, d, alpha = s.network, s.requests, s.dissimilarity, s.alpha
+        if field == "alpha":
+            alpha = value
+        elif field == "rate":
+            reqs = (Request(reqs[0].content, reqs[0].path, value),)
+        elif field == "delay":
+            net = Network(s.num_nodes, {(0, 1): value, (1, 2): 5.0})
+        else:
+            d = s.dissimilarity.copy()
+            d[0, 1] = value
+        bad = Scenario(s.catalog, net, s.sources, reqs, d, s.capacities, alpha)
+        assert code in self._codes(bad)
+
     def test_corrupt_one_field_randomized(self, small_scenario):
         # soundness: corrupting exactly one field is always detected
         s = small_scenario

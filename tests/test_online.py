@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from simcache.cost import PathGeometry, PrimalState, delivery_delay
-from simcache.gradients import grad_mu, grad_q, grad_x, mu_bracket, q_bracket
+from simcache.cost import PathGeometry
+from simcache.gradients import grad_mu, grad_q, grad_x
 from simcache.hibsa import SolverConfig, initial_state, round_caching, round_delivery
-from simcache.online import (OnlineConfig, RequestStreams, draw_slot_requests,
-                             run_online, serve_request, stochastic_gradients)
+from simcache.online import OnlineConfig, RequestStreams, run_online, stochastic_gradients
 
 from conftest import make_line_scenario
+from oracles import oracle_delay
 
 
 class TestConfig:
@@ -56,36 +56,12 @@ class TestRequestStreams:
                                   b.draw_counts(rates, 1.0))
 
 
-def test_draw_slot_requests_is_sorted_multiset(small_scenario):
-    streams = RequestStreams(5, small_scenario.num_requests)
-    out = draw_slot_requests(small_scenario, 1.0, streams)
-    assert out == sorted(out)
-    assert all(0 <= r < small_scenario.num_requests for r in out)
-
-
-class TestServeRequest:
-    def test_prefers_available_argmax(self, line_scenario):
-        X = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
-        Q = np.array([[0.4, 0.6]])
-        assert serve_request(line_scenario, X, Q, 0) == 1
-
-    def test_falls_back_to_requested(self, line_scenario):
-        X = np.zeros((3, 2))
-        Q = np.array([[0.1, 0.9]])
-        assert serve_request(line_scenario, X, Q, 0) == 0
-
-    def test_tie_goes_to_smaller_id(self, line_scenario):
-        X = np.ones((3, 2))
-        Q = np.array([[0.5, 0.5]])
-        assert serve_request(line_scenario, X, Q, 0) == 0
-
-
 class TestStochasticGradients:
     def test_empty_slot_gives_zeros(self, small_scenario):
         s = small_scenario
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        gx, gq, gmu = stochastic_gradients(s, S, mu, [], 1.0)
+        gx, gq, gmu = stochastic_gradients(PathGeometry(s), S, mu, [], 1.0)
         assert not gx.any() and not gq.any() and not gmu.any()
 
     def test_single_arrival_matches_bracket_rows(self, line_scenario):
@@ -94,8 +70,10 @@ class TestStochasticGradients:
         S = initial_state(s, SolverConfig())
         mu = np.full((1, 2), 0.3)
         gx, gq, gmu = stochastic_gradients(geom, S, mu, [0], 2.0)
-        assert np.allclose(gq[0], q_bracket(geom, S.X, mu)[0] / 2.0)
-        assert np.allclose(gmu[0], mu_bracket(geom, S.X, S.Q)[0] / 2.0)
+        # unit weights give the rate-free bracket rows
+        ones = np.ones(s.num_requests)
+        assert np.allclose(gq[0], grad_q(geom, S, mu, ones)[0] / 2.0)
+        assert np.allclose(gmu[0], grad_mu(geom, S, ones)[0] / 2.0)
 
     def test_unobserved_requests_contribute_nothing(self, small_scenario):
         s = small_scenario
@@ -168,17 +146,19 @@ class TestRunOnline:
         s = small_scenario
         res = run_online(s, OnlineConfig(num_slots=40, seed=6))
         geom = PathGeometry(s)
-        # reconstruct each slot's pre-update rounded caches
-        X_prev = round_caching(s, initial_state(s, SolverConfig()).X)
+        # reconstruct each slot's pre-update rounded caching and delivery
+        S0 = initial_state(s, SolverConfig())
+        X_prev = round_caching(s, S0.X)
+        Q_prev = round_delivery(geom, X_prev, S0.Q)
         for o in res.outcomes:
             avail = geom.availability_products(X_prev) <= 0.0
             for r, f_prime, delay, dis in o.triples:
                 req = s.requests[r]
+                assert f_prime == int(np.argmax(Q_prev[r]))
                 assert avail[r, f_prime] or f_prime == req.content
-                assert delay == pytest.approx(
-                    delivery_delay(s, X_prev, r, f_prime))
+                assert delay == pytest.approx(oracle_delay(s, X_prev, r, f_prime))
                 assert dis == s.dissimilarity[req.content, f_prime]
-            X_prev = o.X_rounded
+            X_prev, Q_prev = o.X_rounded, o.Q_rounded
         assert len(res.outcomes) == 40
 
     def test_state_stays_feasible(self, small_scenario):

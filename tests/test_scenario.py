@@ -3,6 +3,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from simcache.model import Network, validate_scenario
@@ -204,6 +206,15 @@ class TestFileFormat:
         (lambda d: d.update(dissimilarity=[[0.0]]), "dissimilarity"),
         (lambda d: d.update(dissimilarity={"power_law": {}}), "dissimilarity"),
         (lambda d: d["nodes"].append(d["nodes"][0]), "duplicate"),
+        pytest.param(lambda d: d["requests"][0].update(rate="fast"), "requests",
+                     id="rate-not-a-number"),
+        pytest.param(lambda d: d["capacities"].update(v0="big"), "capacities",
+                     id="capacity-not-an-int"),
+        pytest.param(lambda d: d.update(capacities=list(d["capacities"].values())),
+                     "capacities", id="capacities-as-list"),
+        pytest.param(lambda d: d.update(edges=5), "edges", id="edges-not-a-list"),
+        pytest.param(lambda d: d["dissimilarity"][0].pop(), "dissimilarity",
+                     id="ragged-dissimilarity"),
     ])
     def test_malformed_documents(self, tmp_path, small_scenario, mutate, fragment):
         p = tmp_path / "scenario.json"
@@ -219,3 +230,37 @@ class TestFileFormat:
         p.write_text("{not json")
         with pytest.raises(ScenarioFormatError, match="JSON"):
             load_scenario(p)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_fuzz_raises_only_format_errors(tmp_path, small_scenario, data):
+    # one field of a valid document, at the top level or inside an entry,
+    # replaced by an arbitrary JSON value
+    p = tmp_path / "scenario.json"
+    save_scenario(small_scenario, p)
+    doc = json.loads(p.read_text())
+    key = data.draw(st.sampled_from(sorted(doc)))
+    target, field = doc, key
+    if isinstance(doc[key], (list, dict)) and doc[key] and data.draw(st.booleans()):
+        target = doc[key]
+        field = data.draw(st.sampled_from(
+            range(len(target)) if isinstance(target, list) else sorted(target)))
+        if isinstance(target[field], dict) and data.draw(st.booleans()):
+            target = target[field]
+            field = data.draw(st.sampled_from(sorted(target)))
+    target[field] = data.draw(json_values)
+    p.write_text(json.dumps(doc))
+    try:
+        loaded = load_scenario(p)
+    except ScenarioFormatError:
+        return
+    assert loaded.num_contents == len(doc["contents"])
