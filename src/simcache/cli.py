@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .baselines import PerCacheConfig, run_per_cache_baseline
-from .hibsa import SolverConfig, solve_offline
+from .hibsa import TRACE_COLUMNS, SolverConfig, solve_offline
 from .model import validate_scenario
 from .online import OnlineConfig, run_online
 from .scenario import (GenConfig, ScenarioFormatError, generate_scenario,
@@ -102,10 +102,8 @@ def sweep_point(param, value, seed, scheme, gen_kwargs, solver_kwargs):
         raise ValueError(f"unknown sweep parameter {param!r}")
     cfg = SolverConfig(pin_delivery=(scheme == "adaptive"), **solver_kwargs)
     try:
-        res = solve_offline(s, cfg)
-        return (param, value, seed, scheme, res.rounded.expected_delay,
-                res.rounded.dissimilarity_cost, res.rounded.objective,
-                res.trace.iterations, res.trace.stop_reason)
+        _, row = solve_summary_row(s, scheme, cfg)
+        return (param, value, seed) + tuple(row[c] for c in SWEEP_COLUMNS[3:])
     except Exception as exc:  # partial failure recorded per row
         return (param, value, seed, scheme, None, None, None, 0, f"error: {exc}")
 
@@ -208,7 +206,9 @@ def validate(scenario_path):
 @click.option("--eta-mu", default=1.0, show_default=True)
 @click.option("--delta", default=1e-6, show_default=True)
 @click.option("--max-iters", default=50000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
+@click.option("--seed", default=0, show_default=True,
+              help="Recorded in manifest.json; the offline start is "
+                   "deterministic, so the seed does not change the run.")
 def solve(scenario_path, out, alpha, baseline, eta_s, eta_mu, delta,
           max_iters, seed):
     """Run the offline solver; write trace, solution, and summary."""
@@ -218,13 +218,12 @@ def solve(scenario_path, out, alpha, baseline, eta_s, eta_mu, delta,
     _exit_on_violations(s)
     scheme = baseline or "similarity"
     cfg = SolverConfig(eta_s=eta_s, eta_mu=eta_mu, delta=delta,
-                       max_iters=max_iters, seed=seed,
-                       pin_delivery=(baseline == "adaptive"))
+                       max_iters=max_iters, pin_delivery=(baseline == "adaptive"))
     res, summary = solve_summary_row(s, scheme, cfg)
 
     out_dir = FsPath(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    res.trace.write_csv(out_dir / "trace.csv")
+    write_csv(out_dir / "trace.csv", TRACE_COLUMNS, res.trace.rows)
     with open(out_dir / "solution.json", "w") as fh:
         json.dump({
             "X": res.rounded.X.astype(int).tolist(),

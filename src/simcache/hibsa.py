@@ -9,7 +9,6 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ class SolverConfig:
     eta_mu: float = 1.0
     delta: float = 1e-6
     max_iters: int = 50_000
-    seed: int = 0
-    random_init: bool = False
     pin_delivery: bool = False  # adaptive-caching mode: Q fixed at identity
 
     def __post_init__(self):
@@ -47,16 +44,6 @@ class SolveTrace:
     stop_reason: str = ""
     iterations: int = 0
 
-    def lagrangians(self) -> np.ndarray:
-        return np.array([r[1] for r in self.rows])
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(TRACE_COLUMNS)
-            for row in self.rows:
-                w.writerow([repr(x) if isinstance(x, float) else x for x in row])
-
 
 @dataclass
 class IntegerSolution:
@@ -71,20 +58,13 @@ def initial_state(s: Scenario, cfg: SolverConfig) -> PrimalState:
     """Feasible start: capacity-tight uniform caching, uniform delivery."""
     V, F, R = s.num_nodes, s.num_contents, s.num_requests
     pins = s.source_mask()
-    if cfg.random_init:
-        rng = np.random.default_rng(cfg.seed)
-        X = rng.uniform(size=(V, F))
-        Q = rng.uniform(size=(R, F))
-        X = project_cache_matrix(X, s.capacities, pins)
-        Q = project_delivery_matrix(Q)
-    else:
-        X = np.zeros((V, F))
-        for v in range(V):
-            k = F - int(pins[v].sum())
-            if k > 0:
-                X[v, ~pins[v]] = min(1.0, s.capacities[v] / k)
-        X[pins] = 1.0
-        Q = np.full((R, F), 1.0 / F)
+    X = np.zeros((V, F))
+    for v in range(V):
+        k = F - int(pins[v].sum())
+        if k > 0:
+            X[v, ~pins[v]] = min(1.0, s.capacities[v] / k)
+    X[pins] = 1.0
+    Q = np.full((R, F), 1.0 / F)
     if cfg.pin_delivery:
         Q = identity_delivery(s)
     return PrimalState(X, Q)
@@ -92,10 +72,7 @@ def initial_state(s: Scenario, cfg: SolverConfig) -> PrimalState:
 
 def identity_delivery(s: Scenario) -> np.ndarray:
     """One-hot delivery of the requested content for every request."""
-    Q = np.zeros((s.num_requests, s.num_contents))
-    for i, r in enumerate(s.requests):
-        Q[i, r.content] = 1.0
-    return Q
+    return np.eye(s.num_contents)[[r.content for r in s.requests]]
 
 
 def projected_primal_update(
@@ -133,10 +110,10 @@ def primal_step(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
                                    cfg.pin_delivery)
 
 
-def dual_step(geom: PathGeometry, S_next: PrimalState, mu: np.ndarray, n: int,
-              cfg: SolverConfig) -> np.ndarray:
-    """Perturbed ascent: ((1 - gamma(n) eta_mu) mu + eta_mu grad_mu)^+,
-    with the mu-gradient evaluated at the fresh primal iterate.
+def dual_step(mu: np.ndarray, g_mu: np.ndarray, n: int,
+              eta_mu: float) -> np.ndarray:
+    """Perturbed ascent: ((1 - gamma(n) eta_mu) mu + eta_mu g_mu)^+ with
+    the caller's mu-gradient g_mu.
 
     The shrinkage factor (1 - gamma(n) eta_mu) is the ascent step on the
     regularized dual objective L - (gamma/2) ||mu||^2; the regularization
@@ -144,28 +121,19 @@ def dual_step(geom: PathGeometry, S_next: PrimalState, mu: np.ndarray, n: int,
     violations persist."""
     if n < 1:
         raise ValueError("iteration counter starts at 1")
-    gamma = 1.0 / (cfg.eta_mu * n ** 0.25)
-    raw = (1.0 - gamma * cfg.eta_mu) * mu + cfg.eta_mu * grad_mu(geom, S_next)
-    return clamp_dual(raw)
+    gamma = 1.0 / (eta_mu * n ** 0.25)
+    return clamp_dual((1.0 - gamma * eta_mu) * mu + eta_mu * g_mu)
 
 
 def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
     """Per node: pin sources, then cache the capacity-many non-source
     contents with largest fractional value (ties to smaller content id)."""
     pins = s.source_mask()
+    # stable: ties keep id order; pinned entries sort after the free ones
+    order = np.argsort(np.where(pins, np.inf, -X), axis=1, kind="stable")
+    rank = np.argsort(order, axis=1)
     out = np.zeros_like(X)
-    out[pins] = 1.0
-    F = s.num_contents
-    ids = np.arange(F)
-    for v in range(s.num_nodes):
-        free = np.nonzero(~pins[v])[0]
-        if free.size == 0:
-            continue
-        take = min(int(s.capacities[v]), free.size)
-        if take <= 0:
-            continue
-        order = sorted(free, key=lambda f: (-X[v, f], ids[f]))
-        out[v, order[:take]] = 1.0
+    out[pins | (rank < np.asarray(s.capacities)[:, None])] = 1.0
     return out
 
 
@@ -215,7 +183,7 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     n = 0
     for n in range(1, cfg.max_iters + 1):
         S = primal_step(geom, S, mu, cfg)
-        mu = dual_step(geom, S, mu, n, cfg)
+        mu = dual_step(mu, grad_mu(geom, S), n, cfg.eta_mu)
         ed, dc = geom.expected_delay(S), geom.dissimilarity_cost(S)
         h = geom.violations(S.X, S.Q)
         obj = ed + s.alpha * dc

@@ -77,17 +77,6 @@ class Path:
         return len(self.nodes)
 
 
-ABSENT = -1
-
-
-def position_in_path(v: int, p: Path) -> int:
-    """1-based position of node v in path p, ABSENT (-1) if v not on p."""
-    for k, node in enumerate(p.nodes, start=1):
-        if node == v:
-            return k
-    return ABSENT
-
-
 @dataclass(frozen=True)
 class Request:
     """A content together with its fixed forwarding path and arrival rate."""

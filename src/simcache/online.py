@@ -4,13 +4,14 @@ Each slot draws Poisson(rate * T) instances per request and serves them
 with the previous slot's rounded delivery (for slot 1, the rounding of the
 initial state).  It then evaluates the offline gradient kernels with each
 request's rate replaced by its observed arrival count / T, applies the
-offline projected primal step and perturbed dual update (slot index as the
-iteration counter), and re-rounds for the next slot.  The mu-gradient is
-taken at the iterate that served the slot, before the primal step, while
-the offline solver takes it at the fresh iterate.  By default both primal
-blocks, caching (eta_x) and delivery (eta_q), take the offline step size
-``SolverConfig.eta_s``.  Since an arrival count has expectation rate * T,
-the estimates are unbiased for the analytic gradients at the current state.
+offline projected primal step and the dual update ``hibsa.dual_step``
+(slot index as the iteration counter), and re-rounds for the next slot.
+The dual update takes the mu-gradient at the iterate that served the slot,
+before the primal step, while the offline solver takes it at the fresh
+iterate.  By default both primal blocks, caching (eta_x) and delivery
+(eta_q), take the offline step size ``SolverConfig.eta_s``.  Since an
+arrival count has expectation rate * T, the estimates are unbiased for the
+analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws.
@@ -28,10 +29,9 @@ from .gradients import grad_mu, grad_q, grad_x
 # not used here: bench/test_bench.py checks that the tracer restores this
 # name in every simcache module that holds it, this one included
 from .gradients import x_position_contributions  # noqa: F401
-from .hibsa import (SolverConfig, initial_state,
+from .hibsa import (SolverConfig, dual_step, initial_state,
                     projected_primal_update, round_caching, round_delivery)
 from .model import Scenario
-from .projection import clamp_dual
 
 
 @dataclass
@@ -139,8 +139,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
         gx, gq, gmu = stochastic_gradients(
             geom, S, mu, [r for r, _, _, _ in triples], cfg.slot_length)
         S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
-        gamma = 1.0 / (cfg.eta_mu * t ** 0.25)
-        mu = clamp_dual((1.0 - gamma * cfg.eta_mu) * mu + cfg.eta_mu * gmu)
+        mu = dual_step(mu, gmu, t, cfg.eta_mu)
 
         X_new = round_caching(s, S.X)
         churn = int(np.sum(X_new != X_int))

@@ -52,29 +52,23 @@ def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
     if not np.any(over):
         return out
 
-    Xo = np.where(free[over], X[over], -np.inf)
+    Xo, fo = X[over], free[over]
+
+    def shifted(theta):
+        """Free entries shifted down by theta and clipped; pinned read 0."""
+        return np.where(fo, np.clip(Xo - theta[:, None], 0.0, 1.0), 0.0)
+
     lo = np.zeros(Xo.shape[0])
-    hi = np.where(np.isfinite(Xo), Xo, 0.0).max(axis=1)
+    hi = np.where(fo, Xo, 0.0).max(axis=1)
     target = caps[over]
-    width = hi.copy()
-    it = 0
-    while width.max() > BISECT_TOL and it < BISECT_MAX_ITERS:
+    for _ in range(BISECT_MAX_ITERS):
+        if (hi - lo).max() <= BISECT_TOL:
+            break
         theta = 0.5 * (lo + hi)
-        total = np.clip(Xo - theta[:, None], 0.0, 1.0)
-        total[~np.isfinite(Xo)] = 0.0
-        total = total.sum(axis=1)
-        too_big = total > target
+        too_big = shifted(theta).sum(axis=1) > target
         lo = np.where(too_big, theta, lo)
         hi = np.where(too_big, hi, theta)
-        width = hi - lo
-        it += 1
-    theta = 0.5 * (lo + hi)
-    proj = np.clip(Xo - theta[:, None], 0.0, 1.0)
-    proj[~np.isfinite(Xo)] = 0.0
-    block = out[over]
-    block[free[over]] = proj[free[over]]
-    out[over] = block
-    out[source_mask] = 1.0
+    out[over] = np.where(fo, shifted(0.5 * (lo + hi)), 1.0)
     return out
 
 

@@ -47,6 +47,22 @@ def oracle_lagrangian(s, X, Q, mu):
     return total
 
 
+def oracle_round_caching(s, X):
+    """Per node: pin sources, then cache the capacity-many non-source
+    contents with largest value, ties to the smaller id (a Python sort)."""
+    pins = s.source_mask()
+    out = np.zeros_like(X)
+    out[pins] = 1.0
+    for v in range(s.num_nodes):
+        free = [f for f in range(s.num_contents) if not pins[v, f]]
+        take = min(int(s.capacities[v]), len(free))
+        if take <= 0:
+            continue
+        order = sorted(free, key=lambda f: (-X[v, f], f))
+        out[v, order[:take]] = 1.0
+    return out
+
+
 def enumerate_integer_optimum(s):
     """Exhaustive optimum of the integer program on a tiny instance.
 

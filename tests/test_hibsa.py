@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from simcache.cost import PathGeometry, PrimalState
-from simcache.hibsa import (SolverConfig, dual_step, identity_delivery,
-                            initial_state, primal_step, round_caching,
-                            round_delivery, solve_offline)
+from simcache.gradients import grad_mu
+from simcache.hibsa import (TRACE_COLUMNS, SolverConfig, dual_step,
+                            identity_delivery, initial_state, primal_step,
+                            round_caching, round_delivery, solve_offline)
+from simcache.model import Catalog, Network, Scenario
 from simcache.scenario import with_alpha
 
 from conftest import make_line_scenario, make_tiny_scenario
-from oracles import enumerate_integer_optimum, oracle_h
+from oracles import enumerate_integer_optimum, oracle_h, oracle_round_caching
 
 
 def caching_feasible(s, X):
@@ -49,17 +54,36 @@ class TestInitialState:
         v = int(np.nonzero(~pins.any(axis=1))[0][0])  # node with no sources
         assert np.allclose(S.X[v], s.capacities[v] / s.num_contents)
 
-    def test_random_init_is_feasible(self, default_scenario):
-        s = default_scenario
-        S = initial_state(s, SolverConfig(random_init=True, seed=7))
-        assert caching_feasible(s, S.X)
-        assert np.allclose(S.Q.sum(axis=1), 1.0)
-        assert np.any(S.Q != S.Q[0, 0])
-
     def test_pinned_delivery_start(self, default_scenario):
         s = default_scenario
         S = initial_state(s, SolverConfig(pin_delivery=True))
         assert np.array_equal(S.Q, identity_delivery(s))
+
+
+def pinned_scenario(pins, capacities):
+    """Request-free scenario with the given source mask and capacities."""
+    V, F = pins.shape
+    return Scenario(
+        catalog=Catalog(F),
+        network=Network(num_nodes=V, delays={}),
+        sources=tuple(frozenset(np.nonzero(pins[:, f])[0].tolist()) for f in range(F)),
+        requests=(),
+        dissimilarity=np.zeros((F, F)),
+        capacities=np.asarray(capacities, dtype=int),
+        alpha=1.0,
+    )
+
+
+@st.composite
+def rounding_cases(draw):
+    """(X, pins, capacities) with values on a coarse grid, so ties are common,
+    and capacities from 0 up to above the row length."""
+    V = draw(st.integers(1, 4))
+    F = draw(st.integers(1, 6))
+    X = draw(arrays(float, (V, F), elements=st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+    pins = draw(arrays(bool, (V, F)))
+    caps = draw(arrays(int, V, elements=st.integers(0, F + 1)))
+    return X, pins, caps
 
 
 def test_identity_delivery(line_scenario):
@@ -77,7 +101,7 @@ class TestDualStep:
         X[2] = 1.0  # source holds everything: all violations vanish at Q rows 0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.ones((1, 2))
-        out = dual_step(PathGeometry(s), S, mu, 1, SolverConfig())
+        out = dual_step(mu, grad_mu(PathGeometry(s), S), 1, 1.0)
         # h is zero for the pair with q=0; the delivered pair has
         # h = 1 * (1-0)(1-0)(1-1) = 0 too, so grad_mu = 0 everywhere.
         assert np.allclose(out, 0.0)
@@ -89,13 +113,14 @@ class TestDualStep:
         X[2] = 1.0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.full((1, 2), 0.8)
-        out = dual_step(PathGeometry(s), S, mu, 16, SolverConfig())
+        out = dual_step(mu, grad_mu(PathGeometry(s), S), 16, 1.0)
         assert np.allclose(out, 0.4)
 
     def test_counter_must_start_at_one(self, line_scenario):
         S = initial_state(line_scenario, SolverConfig())
+        g_mu = grad_mu(PathGeometry(line_scenario), S)
         with pytest.raises(ValueError):
-            dual_step(PathGeometry(line_scenario), S, np.zeros((1, 2)), 0, SolverConfig())
+            dual_step(np.zeros((1, 2)), g_mu, 0, 1.0)
 
     def test_bounded_under_persistent_violation(self, line_scenario):
         # With a fixed infeasible primal state the multipliers stay finite:
@@ -103,9 +128,10 @@ class TestDualStep:
         s = line_scenario
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig(pin_delivery=True))
+        g_mu = grad_mu(geom, S)
         mu = np.zeros((1, 2))
         for n in range(1, 2001):
-            mu = dual_step(geom, S, mu, n, SolverConfig())
+            mu = dual_step(mu, g_mu, n, 1.0)
         assert np.all(np.isfinite(mu))
         assert np.all(mu >= 0.0)
         assert np.max(mu) < 100.0
@@ -114,7 +140,7 @@ class TestDualStep:
         rng = np.random.default_rng(3)
         S = initial_state(small_scenario, SolverConfig())
         mu = rng.uniform(size=S.Q.shape)
-        out = dual_step(PathGeometry(small_scenario), S, mu, 5, SolverConfig())
+        out = dual_step(mu, grad_mu(PathGeometry(small_scenario), S), 5, 1.0)
         assert np.all(out >= 0.0)
 
 
@@ -161,6 +187,18 @@ class TestRounding:
         assert set(np.unique(out)) <= {0.0, 1.0}
         assert caching_feasible(s, out)
 
+    @settings(max_examples=300, deadline=None)
+    @given(rounding_cases())
+    @example((np.full((1, 3), 0.5), np.zeros((1, 3), bool), np.array([0])))  # capacity 0
+    @example((np.full((2, 3), 0.5), np.array([[False, True, False]] * 2),
+              np.array([2, 5])))  # capacity at and above the free count
+    @example((np.array([[0.3, 0.9], [0.5, 0.5]]), np.array([[True, True], [False, True]]),
+              np.array([1, 1])))  # every content pinned at node 0
+    def test_caching_matches_sort_oracle(self, case):
+        X, pins, caps = case
+        s = pinned_scenario(pins, caps)
+        assert np.array_equal(round_caching(s, X), oracle_round_caching(s, X))
+
     def test_delivery_picks_available_argmax(self, line_scenario):
         s = line_scenario
         X_int = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
@@ -206,7 +244,7 @@ class TestSolveOffline:
         res = solve_offline(line_scenario, SolverConfig(eta_s=0.01, max_iters=50))
         assert len(res.trace.rows) == res.trace.iterations
         assert res.trace.stop_reason in ("converged", "max_iters")
-        L = res.trace.lagrangians()
+        L = np.array([row[TRACE_COLUMNS.index("lagrangian")] for row in res.trace.rows])
         assert np.all(np.isfinite(L))
 
     def test_stop_rule_fires_on_flat_lagrangian(self, line_scenario):

@@ -1,36 +1,10 @@
 import numpy as np
 import pytest
 
-from simcache.model import (ABSENT, Catalog, Network, Path, Request, Scenario,
-                            position_in_path, validate_scenario)
+from simcache.model import (Catalog, Network, Path, Request, Scenario,
+                            validate_scenario)
 
 from conftest import make_line_scenario
-
-
-class TestPositionInPath:
-    def test_first_element(self):
-        p = Path((4, 7, 9))
-        assert position_in_path(4, p) == 1
-
-    def test_last_element(self):
-        p = Path((4, 7, 9))
-        assert position_in_path(9, p) == 3
-
-    def test_absent(self):
-        p = Path((4, 7, 9))
-        assert position_in_path(5, p) == ABSENT
-
-    def test_random_paths_exhaustive(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            nodes = tuple(rng.permutation(20)[: rng.integers(1, 9)])
-            p = Path(nodes)
-            for v in range(20):
-                k = position_in_path(v, p)
-                if v in nodes:
-                    assert nodes[k - 1] == v
-                else:
-                    assert k == ABSENT
 
 
 class TestValidateScenario:

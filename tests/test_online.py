@@ -3,7 +3,8 @@ import pytest
 
 from simcache.cost import PathGeometry
 from simcache.gradients import grad_mu, grad_q, grad_x
-from simcache.hibsa import SolverConfig, initial_state, round_caching, round_delivery
+from simcache.hibsa import (SolverConfig, dual_step, initial_state,
+                            projected_primal_update, round_caching, round_delivery)
 from simcache.online import OnlineConfig, RequestStreams, run_online, stochastic_gradients
 
 from conftest import make_line_scenario
@@ -160,6 +161,30 @@ class TestRunOnline:
                 assert dis == s.dissimilarity[req.content, f_prime]
             X_prev, Q_prev = o.X_rounded, o.Q_rounded
         assert len(res.outcomes) == 40
+
+    def test_one_slot_is_one_hand_computed_step(self, default_scenario):
+        # slot 1: gradients from the slot's arrivals at the initial state,
+        # the projected primal step, then the dual step with the mu-gradient
+        # of the iterate that served the slot (offline takes it after the
+        # primal step)
+        s = default_scenario
+        cfg = OnlineConfig(num_slots=1, seed=5)
+        res = run_online(s, cfg)
+        geom = PathGeometry(s)
+        R = s.num_requests
+        S = initial_state(s, SolverConfig())
+        mu = np.zeros((R, s.num_contents))
+        counts = RequestStreams(cfg.seed, R).draw_counts(geom.rates, cfg.slot_length)
+        observed = np.repeat(np.arange(R), counts)
+        gx, gq, gmu = stochastic_gradients(geom, S, mu, observed, cfg.slot_length)
+        S_next = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
+        mu_next = dual_step(mu, gmu, 1, cfg.eta_mu)
+        assert np.array_equal(res.final_state.X, S_next.X)
+        assert np.array_equal(res.final_state.Q, S_next.Q)
+        assert np.array_equal(res.final_dual, mu_next) and mu_next.any()
+        # the mu-gradient at the fresh iterate would give another dual
+        _, _, gmu_next = stochastic_gradients(geom, S_next, mu, observed, cfg.slot_length)
+        assert not np.array_equal(res.final_dual, dual_step(mu, gmu_next, 1, cfg.eta_mu))
 
     def test_state_stays_feasible(self, small_scenario):
         s = small_scenario
