@@ -49,6 +49,10 @@ class PathGeometry:
         self.lengths = lengths
         self.nodes = nodes
         self.mask = mask
+        # flat index into a (V, F) matrix of each (request, position,
+        # content) entry of an (R, P, F) tensor, for scattering into node rows
+        F = s.num_contents
+        self.node_content_index = (nodes.ravel()[:, None] * F + np.arange(F)).ravel()
         self.taus = taus
         self.rates = s.rates()
         self.req_content = np.array([r.content for r in s.requests], dtype=int)

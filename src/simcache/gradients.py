@@ -52,9 +52,11 @@ def x_position_contributions(
     suff[:, :-1, :] = SP[:, 1:, :]
     loo = pref_prev * suff
     loo[~geom.mask, :] = 0.0
-    avail_part = (mu * Q)[:, None, :] * loo
-
-    return -(delay_part + avail_part)
+    # the availability part and the sum are formed in place, so that no
+    # further (R, P, F) array is allocated
+    loo *= (mu * Q)[:, None, :]
+    delay_part += loo
+    return np.negative(delay_part, out=delay_part)
 
 
 def grad_x(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
@@ -64,9 +66,9 @@ def grad_x(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
     contrib = x_position_contributions(geom, S.X, S.Q, mu)
     weighted = w[:, None, None] * contrib
     V, F = geom.scenario.num_nodes, geom.scenario.num_contents
-    gX = np.zeros((V, F))
-    np.add.at(gX, geom.nodes.ravel(), weighted.reshape(-1, F))
-    return gX
+    gX = np.bincount(geom.node_content_index, weights=weighted.ravel(),
+                     minlength=V * F)
+    return gX.reshape(V, F)
 
 
 def grad_q(geom: PathGeometry, S: PrimalState, mu: np.ndarray,

@@ -2,15 +2,17 @@
 
 The feasible set factorizes over cache rows (box + capacity budget,
 pinned source entries fixed at 1) and delivery rows (probability
-simplex), so the joint projection is exact row-wise projection.
+simplex), so the joint projection is exact row-wise projection.  Both
+row projections are exact and sort-based, with no iteration or
+tolerance: a cache row is shifted by the root of a piecewise-linear
+budget function found from its sorted breakpoints (Wang and Lu,
+"Projection onto the Capped Simplex", arXiv:1503.01002), and a delivery
+row by the sort-and-threshold rule for the simplex.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BISECT_TOL = 1e-10
-BISECT_MAX_ITERS = 200
 
 
 def project_cache_row(x: np.ndarray, capacity: int, pinned=()) -> np.ndarray:
@@ -35,13 +37,21 @@ def clamp_dual(mu: np.ndarray) -> np.ndarray:
 
 def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
                          source_mask: np.ndarray) -> np.ndarray:
-    """Row-wise cache projection over all nodes, vectorized.
+    """Row-wise cache projection over all nodes, vectorized and exact.
 
     Per row: clipping to [0,1] is the projection unless the clipped budget
-    of the non-pinned entries is exceeded; then a uniform shift theta with
-    re-clipping is found by bisection (the KKT form of the capped-simplex
-    projection), simultaneously on every over-capacity row.  Pinned
-    entries are set to exactly 1.
+    of the non-pinned entries is exceeded; then the projection is
+    clip(x - theta, 0, 1) on the free entries, where theta solves
+    g(theta) = capacity for g(theta) = sum over free entries of
+    clip(x - theta, 0, 1) (the KKT form of the capped-simplex projection).
+    g is piecewise linear and nonincreasing, with breakpoints at x - 1
+    (slope falls by 1) and at x (slope rises by 1).  One sort of the
+    breakpoints of all over-capacity rows gives the slope of every
+    segment by a cumulative sum, a second cumulative sum gives g at every
+    breakpoint, and theta is solved in closed form on the last segment
+    whose left end still has g >= capacity (Wang and Lu, arXiv:1503.01002).
+    Pinned entries read as -1 there, so they add nothing for theta >= 0,
+    and are set to exactly 1.
     """
     out = np.clip(X, 0.0, 1.0)
     out[source_mask] = 1.0
@@ -52,23 +62,24 @@ def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
     if not np.any(over):
         return out
 
-    Xo, fo = X[over], free[over]
-
-    def shifted(theta):
-        """Free entries shifted down by theta and clipped; pinned read 0."""
-        return np.where(fo, np.clip(Xo - theta[:, None], 0.0, 1.0), 0.0)
-
-    lo = np.zeros(Xo.shape[0])
-    hi = np.where(fo, Xo, 0.0).max(axis=1)
-    target = caps[over]
-    for _ in range(BISECT_MAX_ITERS):
-        if (hi - lo).max() <= BISECT_TOL:
-            break
-        theta = 0.5 * (lo + hi)
-        too_big = shifted(theta).sum(axis=1) > target
-        lo = np.where(too_big, theta, lo)
-        hi = np.where(too_big, hi, theta)
-    out[over] = np.where(fo, shifted(0.5 * (lo + hi)), 1.0)
+    Xo, fo, target = X[over], free[over], caps[over]
+    F = X.shape[1]
+    z = np.where(fo, Xo, -1.0)
+    breaks = np.concatenate([z - 1.0, z], axis=1)
+    order = np.argsort(breaks, axis=1)
+    b = np.take_along_axis(breaks, order, axis=1)
+    # slope of g right of each breakpoint; at the first one every entry
+    # reads 1, so g = F there
+    slope = np.cumsum(np.where(order < F, -1.0, 1.0), axis=1)
+    drop = slope[:, :-1] * np.diff(b, axis=1)
+    g = F + np.cumsum(np.concatenate([np.zeros((len(b), 1)), drop], axis=1), axis=1)
+    # g is nonincreasing, so its entries >= target are a prefix; the root
+    # lies right of the prefix's last breakpoint j.  The slope there is 0
+    # only right of the last breakpoint, where g = 0 = target.
+    j = (g >= target[:, None]).sum(axis=1) - 1
+    rows = np.arange(len(j))
+    theta = b[rows, j] + (g[rows, j] - target) / np.maximum(-slope[rows, j], 1.0)
+    out[over] = np.where(fo, np.clip(Xo - theta[:, None], 0.0, 1.0), 1.0)
     return out
 
 

@@ -63,6 +63,14 @@ def oracle_round_caching(s, X):
     return out
 
 
+def oracle_scatter_rows(nodes, contrib, num_nodes):
+    """Sum each (request, position) row of an (R, P, F) tensor into the
+    row of its node, by an unbuffered np.add.at."""
+    out = np.zeros((num_nodes, contrib.shape[2]))
+    np.add.at(out, nodes.ravel(), contrib.reshape(-1, contrib.shape[2]))
+    return out
+
+
 def enumerate_integer_optimum(s):
     """Exhaustive optimum of the integer program on a tiny instance.
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from simcache.cost import PathGeometry, PrimalState
-from simcache.gradients import fd_gradient, grad_mu, grad_q, grad_x
+from simcache.gradients import (fd_gradient, grad_mu, grad_q, grad_x,
+                                x_position_contributions)
 from simcache.model import Catalog, Network, Path, Request, Scenario
 
 from conftest import make_line_scenario, random_box_state
-from oracles import oracle_delay
+from oracles import oracle_delay, oracle_scatter_rows
 
 
 def rel_err(a, b):
@@ -51,6 +52,19 @@ class TestGradX:
             fd = fd_gradient(small_scenario, S, mu, "x", step=1e-6)
             g = grad_x(PathGeometry(small_scenario), S, mu)
             assert rel_err(g, fd).max() <= 1e-4
+
+    @pytest.mark.parametrize("scenario", ["small_scenario", "default_scenario"])
+    def test_scatter_matches_add_at_oracle(self, scenario, request):
+        s = request.getfixturevalue(scenario)
+        geom = PathGeometry(s)
+        rng = np.random.default_rng(7)
+        for w in (None, rng.uniform(0, 3, size=s.num_requests)):
+            S = random_box_state(s, rng)
+            mu = rng.uniform(0, 2, size=S.Q.shape)
+            weights = geom.rates if w is None else w
+            contrib = weights[:, None, None] * x_position_contributions(geom, S.X, S.Q, mu)
+            expected = oracle_scatter_rows(geom.nodes, contrib, s.num_nodes)
+            assert np.array_equal(grad_x(geom, S, mu, w), expected)
 
 
 class TestGradQ:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,6 +12,24 @@ from simcache.projection import (clamp_dual, project_cache_matrix,
 finite_rows = arrays(
     np.float64, st.integers(min_value=1, max_value=8),
     elements=st.floats(min_value=-5, max_value=5, allow_nan=False))
+
+# a grid whose values repeat, sit exactly at 0 and 1, and lie exactly 1
+# apart, so breakpoints x - 1 and x of different entries coincide
+GRID = [-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
+
+
+@st.composite
+def cache_matrices(draw):
+    """(X, capacities, pins): grid or free float values, capacities from 0
+    up to above the row length, random pins."""
+    V = draw(st.integers(1, 4))
+    F = draw(st.integers(1, 6))
+    values = st.one_of(st.sampled_from(GRID),
+                       st.floats(min_value=-2, max_value=3, allow_nan=False))
+    X = draw(arrays(float, (V, F), elements=values))
+    caps = draw(arrays(int, V, elements=st.integers(0, F + 1)))
+    pins = draw(arrays(bool, (V, F)))
+    return X, caps, pins
 
 
 class TestCacheRow:
@@ -60,6 +78,44 @@ class TestCacheRow:
             pa = project_cache_row(a, cap)
             pb = project_cache_row(b, cap)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
+
+
+class TestCacheMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(cache_matrices())
+    @example((np.array([[0.7, 0.9, 0.7]]), np.array([0]),
+              np.zeros((1, 3), bool)))  # capacity 0
+    @example((np.array([[1.5, 0.5, -1.0], [0.25, 2.0, 0.25]]), np.array([2, 4]),
+              np.array([[False, True, False], [False] * 3])))  # at and above the free count
+    @example((np.array([[0.3, 0.9], [1.5, 1.5]]), np.array([0, 1]),
+              np.array([[True, True], [False, True]])))  # every entry of row 0 pinned
+    @example((np.array([[1.5, 1.5, 0.25, 0.0], [2.0, 1.25, 0.0, 0.125]]), np.array([2, 2]),
+              np.zeros((2, 4), bool)))  # g flat at the capacity on [0.25, 0.5] and [0.125, 0.25]
+    @example((np.array([[0.0, 1.0, 2.0, 1.0, 0.0]]), np.array([1]),
+              np.zeros((1, 5), bool)))  # repeated values exactly 1 apart
+    def test_rows_match_qp_oracle(self, case):
+        X, caps, pins = case
+        out = project_cache_matrix(X, caps, pins)
+        for v in range(X.shape[0]):
+            ref = qp_cache_oracle(X[v], int(caps[v]), np.nonzero(pins[v])[0])
+            assert np.linalg.norm(out[v] - ref) <= 1e-8
+
+    def test_budget_is_met_exactly(self):
+        # where clipping exceeds the budget, the projection meets it with
+        # equality up to rounding, not up to a search tolerance
+        rng = np.random.default_rng(27)
+        worst = 0.0
+        for _ in range(2000):
+            F = int(rng.integers(1, 12))
+            X = rng.uniform(-1, 2, size=(5, F))
+            pins = rng.random((5, F)) < 0.2
+            caps = rng.integers(0, F + 1, size=5)
+            out = project_cache_matrix(X, caps, pins)
+            over = np.where(pins, 0.0, np.clip(X, 0, 1)).sum(axis=1) > caps
+            free_sum = np.where(pins, 0.0, out).sum(axis=1)
+            if over.any():
+                worst = max(worst, np.abs(free_sum[over] - caps[over]).max())
+        assert worst <= 1e-12
 
 
 class TestDeliveryRow:
