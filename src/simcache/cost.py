@@ -1,8 +1,9 @@
 """Delay, delivery cost, objective, availability constraint, Lagrangian.
 
-`PathGeometry` holds padded per-request path arrays and evaluates every
-quantity for all (request, content) pairs at once; the tests check it
-against independent per-term oracles.
+`PathGeometry.evaluate(X)` gathers (1 - x) along every padded request
+path once and returns the `PathTerms` of caching iterate X, on which every
+cost quantity of all (request, content) pairs is defined; the gradients
+read the same terms.  The tests check them against per-term oracles.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ class PathGeometry:
     def __init__(self, s: Scenario):
         self.scenario = s
         R = s.num_requests
-        lengths = np.array([len(r.path) for r in s.requests], dtype=int)
-        P = int(lengths.max()) if R else 1
+        P = max((len(r.path) for r in s.requests), default=1)
         nodes = np.zeros((R, P), dtype=int)
         mask = np.zeros((R, P), dtype=bool)
         taus = np.zeros((R, max(P - 1, 1)), dtype=float)
@@ -44,9 +44,6 @@ class PathGeometry:
             mask[i, : len(p)] = True
             for k in range(len(p) - 1):
                 taus[i, k] = s.network.delay(p[k], p[k + 1])
-        self.num_requests = R
-        self.max_len = P
-        self.lengths = lengths
         self.nodes = nodes
         self.mask = mask
         # flat index into a (V, F) matrix of each (request, position,
@@ -59,43 +56,56 @@ class PathGeometry:
         # dissimilarity row of each request's content: (R, F)
         self.d_rows = s.dissimilarity[self.req_content, :].copy()
 
-    # -- batch evaluation ---------------------------------------------------
-
-    def one_minus_x(self, X: np.ndarray) -> np.ndarray:
-        """(R, P, F) array of (1 - x_{p_k, f'}), 1 at padded positions."""
+    def evaluate(self, X: np.ndarray) -> PathTerms:
+        """The path terms of caching iterate X; the only gather of (1 - x)."""
         Y = 1.0 - X[self.nodes, :]
         Y[~self.mask, :] = 1.0
-        return Y
+        CP = np.cumprod(Y, axis=1)
+        # hop k (0-based) uses the prefix product through position k
+        delays = np.einsum("rk,rkf->rf", self.taus, CP[:, : self.taus.shape[1], :])
+        return PathTerms(self, Y, CP, delays, CP[:, -1, :])
 
     def delays(self, X: np.ndarray) -> np.ndarray:
         """(R, F) matrix of delivery delays t_{(f,p),f'}(X)."""
-        CP = np.cumprod(self.one_minus_x(X), axis=1)
-        # hop k (0-based) uses the prefix product through position k
-        return np.einsum("rk,rkf->rf", self.taus, CP[:, : self.taus.shape[1], :])
+        return self.evaluate(X).delays
 
     def availability_products(self, X: np.ndarray) -> np.ndarray:
         """(R, F) products over path positions of (1 - x)."""
-        return np.prod(self.one_minus_x(X), axis=1)
-
-    def violations(self, X: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """(R, F) matrix of h_{(f,p),f'}(X, Q)."""
-        return Q * self.availability_products(X)
-
-    def cost_matrix(self, X: np.ndarray) -> np.ndarray:
-        """(R, F) per-delivery costs t + alpha * d."""
-        return self.delays(X) + self.scenario.alpha * self.d_rows
-
-    def objective(self, S: PrimalState) -> float:
-        return float(np.dot(self.rates, np.sum(S.Q * self.cost_matrix(S.X), axis=1)))
-
-    def expected_delay(self, S: PrimalState) -> float:
-        return float(np.dot(self.rates, np.sum(S.Q * self.delays(S.X), axis=1)))
-
-    def dissimilarity_cost(self, S: PrimalState) -> float:
-        """Rate-weighted dissimilarity component (unweighted by alpha)."""
-        return float(np.dot(self.rates, np.sum(S.Q * self.d_rows, axis=1)))
+        return self.evaluate(X).avail
 
     def lagrangian(self, S: PrimalState, mu: np.ndarray) -> float:
-        h = self.violations(S.X, S.Q)
-        return self.objective(S) + float(np.dot(self.rates, np.sum(mu * h, axis=1)))
+        return self.evaluate(S.X).lagrangian(S.Q, mu)
 
+
+@dataclass
+class PathTerms:
+    """Path quantities of one caching iterate X, shared by every cost and
+    gradient evaluated at X; the delivery Q and multipliers mu are passed in."""
+
+    geom: PathGeometry
+    Y: np.ndarray  # (R, P, F) 1 - x along each path, 1 at padded positions
+    CP: np.ndarray  # (R, P, F) prefix products of Y along each path
+    delays: np.ndarray  # (R, F) delivery delays t_{(f,p),f'}(X)
+    avail: np.ndarray  # (R, F) products over the whole path of (1 - x)
+
+    def costs(self) -> np.ndarray:
+        """(R, F) per-delivery costs t + alpha * d."""
+        return self.delays + self.geom.scenario.alpha * self.geom.d_rows
+
+    def violations(self, Q: np.ndarray) -> np.ndarray:
+        """(R, F) matrix of h_{(f,p),f'}(X, Q)."""
+        return Q * self.avail
+
+    def objective(self, Q: np.ndarray) -> float:
+        return float(np.dot(self.geom.rates, np.sum(Q * self.costs(), axis=1)))
+
+    def expected_delay(self, Q: np.ndarray) -> float:
+        return float(np.dot(self.geom.rates, np.sum(Q * self.delays, axis=1)))
+
+    def dissimilarity_cost(self, Q: np.ndarray) -> float:
+        """Rate-weighted dissimilarity component (unweighted by alpha)."""
+        return float(np.dot(self.geom.rates, np.sum(Q * self.geom.d_rows, axis=1)))
+
+    def lagrangian(self, Q: np.ndarray, mu: np.ndarray) -> float:
+        h = self.violations(Q)
+        return self.objective(Q) + float(np.dot(self.geom.rates, np.sum(mu * h, axis=1)))

@@ -1,8 +1,11 @@
 """Analytic Lagrangian gradients and a finite-difference oracle.
 
-The x-derivatives need leave-one-out path products; those are built from
-prefix/suffix cumulative products and a backward recurrence, so no entry
-is ever divided by (1 - x), which would be unstable as x approaches 1.
+Every gradient reads the `PathTerms` of the current caching iterate,
+which hold (1 - x) along each path and its prefix products, so none of
+them gathers or multiplies along the paths again.  The x-derivatives need
+leave-one-out path products; those are built from the prefix products, a
+suffix cumulative product and a backward recurrence, so no entry is ever
+divided by (1 - x), which would be unstable as x approaches 1.
 
 Each gradient is a sum over requests of a per-request term times that
 request's weight.  The weights default to the arrival rates, which gives
@@ -14,13 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cost import PathGeometry, PrimalState
+from .cost import PathGeometry, PathTerms, PrimalState
 from .model import Scenario
 
 
-def x_position_contributions(
-    geom: PathGeometry, X: np.ndarray, Q: np.ndarray, mu: np.ndarray
-) -> np.ndarray:
+def x_position_contributions(terms: PathTerms, Q: np.ndarray,
+                             mu: np.ndarray) -> np.ndarray:
     """(R, P, F) x-derivative brackets per path position, weight factored out.
 
     Entry (r, j, f') is the contribution of request r to dL/dx at node
@@ -28,11 +30,8 @@ def x_position_contributions(
     weight.  Summing weighted entries into their node rows yields the
     gradient.
     """
-    R, P = geom.nodes.shape
-    F = X.shape[1]
-
-    Y = geom.one_minus_x(X)  # padded -> 1
-    CP = np.cumprod(Y, axis=1)
+    geom, Y, CP = terms.geom, terms.Y, terms.CP
+    R, P, F = Y.shape
     pref_prev = np.ones_like(CP)
     pref_prev[:, 1:, :] = CP[:, :-1, :]
 
@@ -44,26 +43,29 @@ def x_position_contributions(
         G[:, P - 2, :] = geom.taus[:, P - 2, None]
         for j in range(P - 3, -1, -1):
             G[:, j, :] = geom.taus[:, j, None] + Y[:, j + 1, :] * G[:, j + 1, :]
-    delay_part = Q[:, None, :] * pref_prev * G
+    delay_part = Q[:, None, :] * pref_prev
+    delay_part *= G
+    del G
 
-    # leave-one-out availability products over the path positions
+    # leave-one-out availability products over the path positions: prefix
+    # times suffix products, formed in pref_prev's buffer (the last
+    # position has no suffix); the availability part and the sum are formed
+    # in place too, so that no further (R, P, F) array is allocated
     SP = np.cumprod(Y[:, ::-1, :], axis=1)[:, ::-1, :]
-    suff = np.ones_like(SP)
-    suff[:, :-1, :] = SP[:, 1:, :]
-    loo = pref_prev * suff
+    loo = pref_prev
+    loo[:, :-1, :] *= SP[:, 1:, :]
     loo[~geom.mask, :] = 0.0
-    # the availability part and the sum are formed in place, so that no
-    # further (R, P, F) array is allocated
     loo *= (mu * Q)[:, None, :]
     delay_part += loo
     return np.negative(delay_part, out=delay_part)
 
 
-def grad_x(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
+def grad_x(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
            weights: np.ndarray | None = None) -> np.ndarray:
     """|V| x |F| matrix of dL/dx_{v,f'}; ``weights`` default to the rates."""
+    geom = terms.geom
     w = geom.rates if weights is None else weights
-    contrib = x_position_contributions(geom, S.X, S.Q, mu)
+    contrib = x_position_contributions(terms, Q, mu)
     weighted = w[:, None, None] * contrib
     V, F = geom.scenario.num_nodes, geom.scenario.num_contents
     gX = np.bincount(geom.node_content_index, weights=weighted.ravel(),
@@ -71,20 +73,18 @@ def grad_x(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
     return gX.reshape(V, F)
 
 
-def grad_q(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
+def grad_q(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
            weights: np.ndarray | None = None) -> np.ndarray:
     """|R| x |F| matrix of dL/dq_{(f,p),f'}: weight * (t + alpha*d + mu*prod(1 - x))."""
-    w = geom.rates if weights is None else weights
-    bracket = (geom.delays(S.X) + geom.scenario.alpha * geom.d_rows
-               + mu * geom.availability_products(S.X))
-    return w[:, None] * bracket
+    w = terms.geom.rates if weights is None else weights
+    return w[:, None] * (terms.costs() + mu * terms.avail)
 
 
-def grad_mu(geom: PathGeometry, S: PrimalState,
+def grad_mu(terms: PathTerms, Q: np.ndarray,
             weights: np.ndarray | None = None) -> np.ndarray:
     """|R| x |F| matrix of dL/dmu: the weighted violations q * prod(1 - x)."""
-    w = geom.rates if weights is None else weights
-    return w[:, None] * (S.Q * geom.availability_products(S.X))
+    w = terms.geom.rates if weights is None else weights
+    return w[:, None] * terms.violations(Q)
 
 
 def fd_gradient(
@@ -102,36 +102,24 @@ def fd_gradient(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    geom = PathGeometry(s)
-
-    if which == "x":
-        base = S.X
-        lo, hi = 0.0, 1.0
-    elif which == "q":
-        base = S.Q
-        lo, hi = 0.0, 1.0
-    elif which == "mu":
-        base = mu
-        lo, hi = 0.0, np.inf
-    else:
+    blocks = {"x": S.X, "q": S.Q, "mu": mu}
+    if which not in blocks:
         raise ValueError(f"unknown block {which!r}")
-
+    geom = PathGeometry(s)
+    hi = np.inf if which == "mu" else 1.0
+    base = blocks[which]
+    work = blocks[which] = base.copy()
     out = np.zeros_like(base)
-    work = base.copy()
 
     def evaluate() -> float:
-        if which == "x":
-            return geom.lagrangian(PrimalState(work, S.Q), mu)
-        if which == "q":
-            return geom.lagrangian(PrimalState(S.X, work), mu)
-        return geom.lagrangian(S, work)
+        return geom.lagrangian(PrimalState(blocks["x"], blocks["q"]), blocks["mu"])
 
     it = np.nditer(base, flags=["multi_index"])
     for val in it:
         idx = it.multi_index
         v = float(val)
         up = min(v + step, hi)
-        dn = max(v - step, lo)
+        dn = max(v - step, 0.0)
         work[idx] = up
         f_up = evaluate()
         work[idx] = dn

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import PathGeometry, PrimalState
+from .cost import PathGeometry, PathTerms, PrimalState
 from .gradients import grad_mu, grad_q, grad_x
 from .model import Scenario
 from .projection import clamp_dual, project_cache_matrix, project_delivery_matrix
@@ -101,12 +101,12 @@ def projected_primal_update(
     return PrimalState(X, Q)
 
 
-def primal_step(geom: PathGeometry, S: PrimalState, mu: np.ndarray,
+def primal_step(terms: PathTerms, S: PrimalState, mu: np.ndarray,
                 cfg: SolverConfig) -> PrimalState:
-    """One descent step on both primal blocks with step eta_s."""
-    gx = grad_x(geom, S, mu)
-    gq = grad_q(geom, S, mu) if not cfg.pin_delivery else np.zeros_like(S.Q)
-    return projected_primal_update(geom, S, gx, gq, cfg.eta_s, cfg.eta_s,
+    """One descent step on both primal blocks with step eta_s at S.X's terms."""
+    gx = grad_x(terms, S.Q, mu)
+    gq = grad_q(terms, S.Q, mu) if not cfg.pin_delivery else np.zeros_like(S.Q)
+    return projected_primal_update(terms.geom, S, gx, gq, cfg.eta_s, cfg.eta_s,
                                    cfg.pin_delivery)
 
 
@@ -137,14 +137,14 @@ def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def round_delivery(geom: PathGeometry, X_int: np.ndarray,
-                   Q: np.ndarray) -> np.ndarray:
+def round_delivery(terms: PathTerms, Q: np.ndarray) -> np.ndarray:
     """Per request: among contents available on the path under the rounded
-    caching, pick the largest fractional delivery value (ties to smaller
-    content id); the requested content is always a feasible fallback."""
-    avail = geom.availability_products(X_int) <= 0.0
+    caching (of path terms ``terms``), pick the largest fractional delivery
+    value (ties to smaller content id); the requested content is always a
+    feasible fallback."""
+    avail = terms.avail <= 0.0
     best = np.argmax(np.where(avail, Q, -np.inf), axis=1)
-    choice = np.where(avail.any(axis=1), best, geom.req_content)
+    choice = np.where(avail.any(axis=1), best, terms.geom.req_content)
     out = np.zeros_like(Q)
     out[np.arange(Q.shape[0]), choice] = 1.0
     return out
@@ -158,38 +158,35 @@ class SolveResult:
     trace: SolveTrace
 
 
-def evaluate_integer(geom: PathGeometry, X_int: np.ndarray,
+def evaluate_integer(terms: PathTerms, X_int: np.ndarray,
                      Q_int: np.ndarray) -> IntegerSolution:
-    S = PrimalState(X_int, Q_int)
-    return IntegerSolution(
-        X=X_int,
-        Q=Q_int,
-        objective=geom.objective(S),
-        expected_delay=geom.expected_delay(S),
-        dissimilarity_cost=geom.dissimilarity_cost(S),
-    )
+    """The rounded solution and its costs; ``terms`` are those of X_int."""
+    return IntegerSolution(X_int, Q_int, terms.objective(Q_int),
+                           terms.expected_delay(Q_int), terms.dissimilarity_cost(Q_int))
 
 
 def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     """Iterate primal/dual steps until |L(n+1) - L(n)| <= delta or the
-    iteration budget runs out, then round greedily."""
+    iteration budget runs out, then round greedily.  Each iterate's path
+    terms serve its dual step, its trace row and the next primal step."""
     cfg = cfg or SolverConfig()
     geom = PathGeometry(s)
     S = initial_state(s, cfg)
     mu = np.zeros((s.num_requests, s.num_contents))
+    terms = geom.evaluate(S.X)
     trace = SolveTrace()
-    L_prev = geom.lagrangian(S, mu)
+    L_prev = terms.lagrangian(S.Q, mu)
     stop_reason = "max_iters"
     n = 0
     for n in range(1, cfg.max_iters + 1):
-        S = primal_step(geom, S, mu, cfg)
-        mu = dual_step(mu, grad_mu(geom, S), n, cfg.eta_mu)
-        ed, dc = geom.expected_delay(S), geom.dissimilarity_cost(S)
-        h = geom.violations(S.X, S.Q)
-        obj = ed + s.alpha * dc
-        L = obj + float(np.dot(geom.rates, np.sum(mu * h, axis=1)))
+        S = primal_step(terms, S, mu, cfg)
+        terms = geom.evaluate(S.X)
+        mu = dual_step(mu, grad_mu(terms, S.Q), n, cfg.eta_mu)
+        h = terms.violations(S.Q)
+        L = terms.lagrangian(S.Q, mu)
         trace.rows.append((
-            n, L, obj, ed, dc,
+            n, L, terms.objective(S.Q), terms.expected_delay(S.Q),
+            terms.dissimilarity_cost(S.Q),
             float(h.max()) if h.size else 0.0, float(np.linalg.norm(mu)),
         ))
         if abs(L - L_prev) <= cfg.delta:
@@ -199,7 +196,7 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     trace.stop_reason = stop_reason
     trace.iterations = n
     X_int = round_caching(s, S.X)
-    Q_int = round_delivery(geom, X_int, S.Q)
-    rounded = evaluate_integer(geom, X_int, Q_int)
+    int_terms = geom.evaluate(X_int)
+    rounded = evaluate_integer(int_terms, X_int, round_delivery(int_terms, S.Q))
     return SolveResult(fractional=S, dual=mu, rounded=rounded, trace=trace)
 

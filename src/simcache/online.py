@@ -8,10 +8,11 @@ offline projected primal step and the dual update ``hibsa.dual_step``
 (slot index as the iteration counter), and re-rounds for the next slot.
 The dual update takes the mu-gradient at the iterate that served the slot,
 before the primal step, while the offline solver takes it at the fresh
-iterate.  By default both primal blocks, caching (eta_x) and delivery
-(eta_q), take the offline step size ``SolverConfig.eta_s``.  Since an
-arrival count has expectation rate * T, the estimates are unbiased for the
-analytic gradients at the current state.
+iterate.  The path terms of each new iterate and of its rounding are
+evaluated once and reused in the next slot.  By default both primal
+blocks, caching (eta_x) and delivery (eta_q), take the offline step size
+``SolverConfig.eta_s``.  Since an arrival count has expectation rate * T,
+the estimates are unbiased for the analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import PathGeometry, PrimalState
+from .cost import PathGeometry, PathTerms, PrimalState
 from .gradients import grad_mu, grad_q, grad_x
 # not used here: bench/test_bench.py checks that the tracer restores this
 # name in every simcache module that holds it, this one included
@@ -78,13 +79,8 @@ class RequestStreams:
                          for g, lam in zip(self.generators, rates)], dtype=int)
 
 
-def stochastic_gradients(
-    geom: PathGeometry,
-    S: PrimalState,
-    mu: np.ndarray,
-    observed,
-    T: float,
-) -> tuple:
+def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
+                         observed, T: float) -> tuple:
     """Unbiased per-slot gradient estimates from observed request arrivals.
 
     ``observed`` is the multiset of request indices seen this slot.  The
@@ -92,8 +88,8 @@ def stochastic_gradients(
     rate replaced by its arrival count / T, so requests with no arrivals
     contribute nothing.
     """
-    w = np.bincount(observed, minlength=geom.num_requests) / T
-    return grad_x(geom, S, mu, w), grad_q(geom, S, mu, w), grad_mu(geom, S, w)
+    w = np.bincount(observed, minlength=len(Q)) / T
+    return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, Q, w)
 
 
 @dataclass
@@ -110,8 +106,10 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     S = initial_state(s, SolverConfig())
     mu = np.zeros((s.num_requests, s.num_contents))
     streams = RequestStreams(cfg.seed, s.num_requests)
+    terms = geom.evaluate(S.X)
     X_int = round_caching(s, S.X)
-    Q_int = round_delivery(geom, X_int, S.Q)
+    int_terms = geom.evaluate(X_int)
+    Q_int = round_delivery(int_terms, S.Q)
 
     delay_hist: deque = deque(maxlen=cfg.delay_window)
     dissim_hist: deque = deque(maxlen=cfg.delay_window)
@@ -119,7 +117,6 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
 
     for t in range(1, cfg.num_slots + 1):
         counts = streams.draw_counts(geom.rates, cfg.slot_length)
-        rounded_delays = geom.delays(X_int)
         served = Q_int.argmax(axis=1)
         triples = []
         slot_delay = 0.0
@@ -129,7 +126,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             if c == 0:
                 continue
             f_prime = int(served[r])
-            delay = float(rounded_delays[r, f_prime])
+            delay = float(int_terms.delays[r, f_prime])
             dis = float(s.dissimilarity[geom.req_content[r], f_prime])
             for _ in range(c):
                 triples.append((r, f_prime, delay, dis))
@@ -137,14 +134,16 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             slot_dissim += c * dis
 
         gx, gq, gmu = stochastic_gradients(
-            geom, S, mu, [r for r, _, _, _ in triples], cfg.slot_length)
+            terms, S.Q, mu, [r for r, _, _, _ in triples], cfg.slot_length)
         S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
+        terms = geom.evaluate(S.X)
 
         X_new = round_caching(s, S.X)
         churn = int(np.sum(X_new != X_int))
         X_int = X_new
-        Q_int = round_delivery(geom, X_int, S.Q)
+        int_terms = geom.evaluate(X_int)
+        Q_int = round_delivery(int_terms, S.Q)
 
         delay_hist.append(slot_delay)
         dissim_hist.append(slot_dissim)
@@ -154,7 +153,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             triples=triples,
             windowed_delay=sum(delay_hist) / win,
             windowed_dissimilarity=sum(dissim_hist) / win,
-            lagrangian=geom.lagrangian(S, mu),
+            lagrangian=terms.lagrangian(S.Q, mu),
             cache_churn=churn,
             X_rounded=X_int,
             Q_rounded=Q_int,

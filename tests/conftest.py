@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simcache.cost import PrimalState
+from simcache.cost import PathGeometry, PrimalState
 from simcache.model import Catalog, Network, Path, Request, Scenario
 from simcache.projection import project_cache_matrix, project_delivery_matrix
 from simcache.scenario import GenConfig, generate_scenario
@@ -78,3 +78,17 @@ def small_scenario():
 @pytest.fixture
 def line_scenario():
     return make_line_scenario()
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A list that grows by one on every `PathGeometry.evaluate` call."""
+    calls = []
+    evaluate = PathGeometry.evaluate
+
+    def counted(self, X):
+        calls.append(X)
+        return evaluate(self, X)
+
+    monkeypatch.setattr(PathGeometry, "evaluate", counted)
+    return calls

@@ -80,11 +80,11 @@ def test_criterion_1_gradients_match_finite_differences():
         mu = rng.uniform(0.1, 1.0, (s.num_requests, s.num_contents))
         geom = PathGeometry(s)
         worst["x"] = max(worst["x"], mixed_error(
-            grad_x(geom, S, mu), fd_gradient(s, S, mu, "x", 1e-6)))
+            grad_x(geom.evaluate(S.X), S.Q, mu), fd_gradient(s, S, mu, "x", 1e-6)))
         worst["q"] = max(worst["q"], mixed_error(
-            grad_q(geom, S, mu), fd_gradient(s, S, mu, "q", 1e-6)))
+            grad_q(geom.evaluate(S.X), S.Q, mu), fd_gradient(s, S, mu, "q", 1e-6)))
         worst["mu"] = max(worst["mu"], mixed_error(
-            grad_mu(geom, S), fd_gradient(s, S, mu, "mu", 0.5)))
+            grad_mu(geom.evaluate(S.X), S.Q), fd_gradient(s, S, mu, "mu", 0.5)))
     elapsed = time.perf_counter() - start
     ok = worst["x"] <= 1e-4 and worst["q"] <= 1e-4 and worst["mu"] <= 1e-6 \
         and elapsed < 60
@@ -229,14 +229,15 @@ def test_criterion_8_stochastic_gradients_are_unbiased():
         observed = [r for r in range(s.num_requests)
                     for _ in range(int(counts[r]))]
         for acc, acc2, g in zip(sums, sumsq,
-                                stochastic_gradients(geom, S, mu, observed, 1.0)):
+                                stochastic_gradients(geom.evaluate(S.X), S.Q, mu, observed, 1.0)):
             acc += g
             acc2 += g * g
     means = [a / n_slots for a in sums]
     ses = [np.sqrt(np.maximum(a2 / n_slots - m ** 2, 0.0) / n_slots)
            for a2, m in zip(sumsq, means)]
 
-    analytic = [grad_x(geom, S, mu), grad_q(geom, S, mu), grad_mu(geom, S)]
+    analytic = [grad_x(geom.evaluate(S.X), S.Q, mu), grad_q(geom.evaluate(S.X), S.Q, mu),
+                grad_mu(geom.evaluate(S.X), S.Q)]
     within = total = 0
     for m, se, a in zip(means, ses, analytic):
         tested = (m != 0.0) | (a != 0.0)

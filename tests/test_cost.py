@@ -61,36 +61,36 @@ class TestDeliveryDelay:
 class TestDeliveryCost:
     def test_requested_content_is_delay_only(self, line_scenario):
         X = np.zeros((3, 2))
-        assert PathGeometry(line_scenario).cost_matrix(X)[0, 0] == pytest.approx(7.0)
+        assert PathGeometry(line_scenario).evaluate(X).costs()[0, 0] == pytest.approx(7.0)
 
     def test_alpha_zero_equals_delay(self):
         s = make_line_scenario(alpha=0.0)
         X = np.zeros((3, 2))
-        geom = PathGeometry(s)
-        assert geom.cost_matrix(X)[0, 1] == geom.delays(X)[0, 1]
+        terms = PathGeometry(s).evaluate(X)
+        assert terms.costs()[0, 1] == terms.delays[0, 1]
 
     def test_weighted_dissimilarity(self):
         s = make_line_scenario(alpha=10.0)
         X = np.zeros((3, 2))
-        assert PathGeometry(s).cost_matrix(X)[0, 1] == pytest.approx(7.0 + 10.0 * 1.0)
+        assert PathGeometry(s).evaluate(X).costs()[0, 1] == pytest.approx(7.0 + 10.0 * 1.0)
 
 
 class TestObjective:
     def test_zero_rates(self):
         s = make_line_scenario(rate=0.0)
         S = state_for(s, Q=[[0.5, 0.5]])
-        assert PathGeometry(s).objective(S) == 0.0
+        assert PathGeometry(s).evaluate(S.X).objective(S.Q) == 0.0
 
     def test_one_hot_delivery(self):
         s = make_line_scenario(rate=3.0, alpha=2.0)
         S = state_for(s, Q=[[0.0, 1.0]])
-        assert PathGeometry(s).objective(S) == pytest.approx(3.0 * (7.0 + 2.0 * 1.0))
+        assert PathGeometry(s).evaluate(S.X).objective(S.Q) == pytest.approx(3.0 * (7.0 + 2.0 * 1.0))
 
     def test_matches_bruteforce_oracle(self, small_scenario):
         rng = np.random.default_rng(9)
         for _ in range(10):
             S = random_box_state(small_scenario, rng)
-            assert PathGeometry(small_scenario).objective(S) == pytest.approx(
+            assert PathGeometry(small_scenario).evaluate(S.X).objective(S.Q) == pytest.approx(
                 oracle_objective(small_scenario, S.X, S.Q), rel=1e-12)
 
 
@@ -99,24 +99,24 @@ class TestAvailabilityViolation:
         s = line_scenario
         X = s.source_mask().astype(float)
         S = PrimalState(X, np.ones((1, 2)))
-        assert PathGeometry(s).violations(S.X, S.Q)[0, 0] == 0.0
+        assert PathGeometry(s).evaluate(S.X).violations(S.Q)[0, 0] == 0.0
 
     def test_no_holder_full_violation(self, line_scenario):
         S = state_for(line_scenario, Q=[[1.0, 1.0]])
         # content 1 not cached anywhere and path sources only pin at load
-        assert PathGeometry(line_scenario).violations(S.X, S.Q)[0, 1] == 1.0
+        assert PathGeometry(line_scenario).evaluate(S.X).violations(S.Q)[0, 1] == 1.0
 
     def test_fractional_hand_value(self):
         s = make_line_scenario(taus=(2.0,))  # |p| = 2
         S = state_for(s, X=[[0.5, 0.5], [0.5, 0.5]], Q=[[0.5, 0.5]])
-        assert PathGeometry(s).violations(S.X, S.Q)[0, 1] == pytest.approx(0.125)
+        assert PathGeometry(s).evaluate(S.X).violations(S.Q)[0, 1] == pytest.approx(0.125)
 
     def test_within_unit_interval(self, small_scenario):
         rng = np.random.default_rng(10)
         geom = PathGeometry(small_scenario)
         for _ in range(20):
             S = random_box_state(small_scenario, rng, lo=0.0, hi=1.0)
-            h = geom.violations(S.X, S.Q)
+            h = geom.evaluate(S.X).violations(S.Q)
             assert np.all(h >= 0.0) and np.all(h <= 1.0)
 
 
@@ -126,7 +126,7 @@ class TestLagrangian:
         S = random_box_state(small_scenario, rng)
         mu = np.zeros((small_scenario.num_requests, small_scenario.num_contents))
         geom = PathGeometry(small_scenario)
-        assert geom.lagrangian(S, mu) == geom.objective(S)
+        assert geom.lagrangian(S, mu) == geom.evaluate(S.X).objective(S.Q)
 
     def test_integer_feasible_ignores_mu(self, line_scenario):
         s = line_scenario
@@ -155,30 +155,31 @@ class TestAggregates:
         geom = PathGeometry(s)
         for _ in range(10):
             S = random_box_state(s, rng)
-            total = geom.objective(S)
-            parts = geom.expected_delay(S) + s.alpha * geom.dissimilarity_cost(S)
+            terms = geom.evaluate(S.X)
+            total = terms.objective(S.Q)
+            parts = terms.expected_delay(S.Q) + s.alpha * terms.dissimilarity_cost(S.Q)
             assert total == pytest.approx(parts, rel=1e-9)
 
     def test_delivering_requested_zero_dissimilarity(self, line_scenario):
         S = state_for(line_scenario, Q=[[1.0, 0.0]])
-        assert PathGeometry(line_scenario).dissimilarity_cost(S) == 0.0
+        assert PathGeometry(line_scenario).evaluate(S.X).dissimilarity_cost(S.Q) == 0.0
 
     def test_single_request_dissimilarity(self):
         d = [[0.0, 8.0], [8.0, 0.0]]
         s = make_line_scenario(dissimilarity=d)
         S = state_for(s, Q=[[0.0, 1.0]])
-        assert PathGeometry(s).dissimilarity_cost(S) == pytest.approx(8.0)
+        assert PathGeometry(s).evaluate(S.X).dissimilarity_cost(S.Q) == pytest.approx(8.0)
 
     def test_expected_delay_ingress_hit(self, line_scenario):
         X = np.zeros((3, 2))
         X[0, 1] = 1.0
         S = state_for(line_scenario, X=X, Q=[[0.0, 1.0]])
-        assert PathGeometry(line_scenario).expected_delay(S) == 0.0
+        assert PathGeometry(line_scenario).evaluate(S.X).expected_delay(S.Q) == 0.0
 
     def test_expected_delay_one_hot(self):
         s = make_line_scenario(rate=2.0)
         S = state_for(s, Q=[[1.0, 0.0]])
-        assert PathGeometry(s).expected_delay(S) == pytest.approx(2.0 * 7.0)
+        assert PathGeometry(s).evaluate(S.X).expected_delay(S.Q) == pytest.approx(2.0 * 7.0)
 
 
 class TestBatchGeometry:

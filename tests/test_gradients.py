@@ -25,7 +25,7 @@ class TestGradX:
         X, Q = zeros_like_state(s)
         X[:] = 0.4
         mu = np.zeros_like(Q)
-        assert np.all(grad_x(PathGeometry(s), PrimalState(X, Q), mu) == 0.0)
+        assert np.all(grad_x(PathGeometry(s).evaluate(X), Q, mu) == 0.0)
 
     def test_node_off_all_paths_is_zero(self):
         # star-ish line where node 0 never appears on the request path
@@ -41,7 +41,7 @@ class TestGradX:
         rng = np.random.default_rng(0)
         S = random_box_state(s, rng)
         mu = rng.uniform(0, 2, size=S.Q.shape)
-        g = grad_x(PathGeometry(s), S, mu)
+        g = grad_x(PathGeometry(s).evaluate(S.X), S.Q, mu)
         assert np.all(g[0] == 0.0)
 
     def test_matches_finite_differences(self, small_scenario):
@@ -50,7 +50,7 @@ class TestGradX:
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 2, size=S.Q.shape)
             fd = fd_gradient(small_scenario, S, mu, "x", step=1e-6)
-            g = grad_x(PathGeometry(small_scenario), S, mu)
+            g = grad_x(PathGeometry(small_scenario).evaluate(S.X), S.Q, mu)
             assert rel_err(g, fd).max() <= 1e-4
 
     @pytest.mark.parametrize("scenario", ["small_scenario", "default_scenario"])
@@ -62,9 +62,10 @@ class TestGradX:
             S = random_box_state(s, rng)
             mu = rng.uniform(0, 2, size=S.Q.shape)
             weights = geom.rates if w is None else w
-            contrib = weights[:, None, None] * x_position_contributions(geom, S.X, S.Q, mu)
+            terms = geom.evaluate(S.X)
+            contrib = weights[:, None, None] * x_position_contributions(terms, S.Q, mu)
             expected = oracle_scatter_rows(geom.nodes, contrib, s.num_nodes)
-            assert np.array_equal(grad_x(geom, S, mu, w), expected)
+            assert np.array_equal(grad_x(terms, S.Q, mu, w), expected)
 
 
 class TestGradQ:
@@ -73,7 +74,7 @@ class TestGradQ:
         rng = np.random.default_rng(2)
         S = random_box_state(s, rng)
         mu = np.zeros_like(S.Q)
-        g = grad_q(PathGeometry(s), S, mu)
+        g = grad_q(PathGeometry(s).evaluate(S.X), S.Q, mu)
         for r, req in enumerate(s.requests):
             for f in range(s.num_contents):
                 cost = oracle_delay(s, S.X, r, f) + s.alpha * s.dissimilarity[req.content, f]
@@ -84,7 +85,7 @@ class TestGradQ:
         X = s.source_mask().astype(float)
         S = PrimalState(X, np.full((1, 2), 0.5))
         mu = np.full((1, 2), 100.0)
-        g = grad_q(PathGeometry(s), S, mu)
+        g = grad_q(PathGeometry(s).evaluate(S.X), S.Q, mu)
         f = s.requests[0].content
         assert g[0, f] == pytest.approx(oracle_delay(s, X, 0, f))
 
@@ -94,7 +95,7 @@ class TestGradQ:
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 2, size=S.Q.shape)
             fd = fd_gradient(small_scenario, S, mu, "q", step=1e-6)
-            g = grad_q(PathGeometry(small_scenario), S, mu)
+            g = grad_q(PathGeometry(small_scenario).evaluate(S.X), S.Q, mu)
             assert rel_err(g, fd).max() <= 1e-4
 
     def test_nonnegative_for_nonnegative_mu(self, small_scenario):
@@ -102,7 +103,7 @@ class TestGradQ:
         for _ in range(10):
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 5, size=S.Q.shape)
-            assert np.all(grad_q(PathGeometry(small_scenario), S, mu) >= 0.0)
+            assert np.all(grad_q(PathGeometry(small_scenario).evaluate(S.X), S.Q, mu) >= 0.0)
 
 
 class TestGradMu:
@@ -110,13 +111,13 @@ class TestGradMu:
         s = line_scenario
         X = s.source_mask().astype(float)
         Q = np.array([[1.0, 0.0]])
-        assert np.all(grad_mu(PathGeometry(s), PrimalState(X, Q)) == 0.0)
+        assert np.all(grad_mu(PathGeometry(s).evaluate(X), Q) == 0.0)
 
     def test_scaled_by_rate(self):
         s = make_line_scenario(rate=2.0)
         X = np.zeros((3, 2))
         Q = np.array([[1.0, 0.0]])
-        g = grad_mu(PathGeometry(s), PrimalState(X, Q))
+        g = grad_mu(PathGeometry(s).evaluate(X), Q)
         assert g[0, 0] == pytest.approx(2.0)
 
     def test_matches_finite_differences_exactly(self, small_scenario):
@@ -127,14 +128,14 @@ class TestGradMu:
             # L is linear in mu, so a large step keeps central
             # differences exact up to rounding
             fd = fd_gradient(small_scenario, S, mu, "mu", step=0.5)
-            g = grad_mu(PathGeometry(small_scenario), S)
+            g = grad_mu(PathGeometry(small_scenario).evaluate(S.X), S.Q)
             assert rel_err(g, fd).max() <= 1e-6
 
     def test_nonnegative_in_box(self, small_scenario):
         rng = np.random.default_rng(6)
         for _ in range(10):
             S = random_box_state(small_scenario, rng, lo=0.0, hi=1.0)
-            assert np.all(grad_mu(PathGeometry(small_scenario), S) >= 0.0)
+            assert np.all(grad_mu(PathGeometry(small_scenario).evaluate(S.X), S.Q) >= 0.0)
 
 
 class TestFdOracle:

@@ -10,7 +10,7 @@ from simcache.hibsa import (TRACE_COLUMNS, SolverConfig, dual_step,
                             identity_delivery, initial_state, primal_step,
                             round_caching, round_delivery, solve_offline)
 from simcache.model import Catalog, Network, Scenario
-from simcache.scenario import with_alpha
+from simcache.scenario import GenConfig, generate_scenario, with_alpha
 
 from conftest import make_line_scenario, make_tiny_scenario
 from oracles import enumerate_integer_optimum, oracle_h, oracle_round_caching
@@ -101,7 +101,7 @@ class TestDualStep:
         X[2] = 1.0  # source holds everything: all violations vanish at Q rows 0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.ones((1, 2))
-        out = dual_step(mu, grad_mu(PathGeometry(s), S), 1, 1.0)
+        out = dual_step(mu, grad_mu(PathGeometry(s).evaluate(S.X), S.Q), 1, 1.0)
         # h is zero for the pair with q=0; the delivered pair has
         # h = 1 * (1-0)(1-0)(1-1) = 0 too, so grad_mu = 0 everywhere.
         assert np.allclose(out, 0.0)
@@ -113,12 +113,12 @@ class TestDualStep:
         X[2] = 1.0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.full((1, 2), 0.8)
-        out = dual_step(mu, grad_mu(PathGeometry(s), S), 16, 1.0)
+        out = dual_step(mu, grad_mu(PathGeometry(s).evaluate(S.X), S.Q), 16, 1.0)
         assert np.allclose(out, 0.4)
 
     def test_counter_must_start_at_one(self, line_scenario):
         S = initial_state(line_scenario, SolverConfig())
-        g_mu = grad_mu(PathGeometry(line_scenario), S)
+        g_mu = grad_mu(PathGeometry(line_scenario).evaluate(S.X), S.Q)
         with pytest.raises(ValueError):
             dual_step(np.zeros((1, 2)), g_mu, 0, 1.0)
 
@@ -128,7 +128,7 @@ class TestDualStep:
         s = line_scenario
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig(pin_delivery=True))
-        g_mu = grad_mu(geom, S)
+        g_mu = grad_mu(geom.evaluate(S.X), S.Q)
         mu = np.zeros((1, 2))
         for n in range(1, 2001):
             mu = dual_step(mu, g_mu, n, 1.0)
@@ -140,7 +140,7 @@ class TestDualStep:
         rng = np.random.default_rng(3)
         S = initial_state(small_scenario, SolverConfig())
         mu = rng.uniform(size=S.Q.shape)
-        out = dual_step(mu, grad_mu(PathGeometry(small_scenario), S), 5, 1.0)
+        out = dual_step(mu, grad_mu(PathGeometry(small_scenario).evaluate(S.X), S.Q), 5, 1.0)
         assert np.all(out >= 0.0)
 
 
@@ -150,8 +150,9 @@ class TestPrimalStep:
         cfg = SolverConfig(eta_s=0.05)
         S = initial_state(s, cfg)
         mu = np.zeros((s.num_requests, s.num_contents))
+        geom = PathGeometry(s)
         for _ in range(5):
-            S = primal_step(PathGeometry(s), S, mu, cfg)
+            S = primal_step(geom.evaluate(S.X), S, mu, cfg)
         assert caching_feasible(s, S.X)
         assert np.allclose(S.Q.sum(axis=1), 1.0)
         assert np.all(S.Q >= -1e-12)
@@ -162,8 +163,9 @@ class TestPrimalStep:
         S = initial_state(s, cfg)
         Q0 = S.Q.copy()
         mu = np.ones((s.num_requests, s.num_contents))
+        geom = PathGeometry(s)
         for _ in range(5):
-            S = primal_step(PathGeometry(s), S, mu, cfg)
+            S = primal_step(geom.evaluate(S.X), S, mu, cfg)
         assert np.array_equal(S.Q, Q0)
 
 
@@ -203,27 +205,27 @@ class TestRounding:
         s = line_scenario
         X_int = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         Q = np.array([[0.4, 0.6]])
-        out = round_delivery(PathGeometry(s), X_int, Q)
+        out = round_delivery(PathGeometry(s).evaluate(X_int), Q)
         assert np.array_equal(out, np.array([[0.0, 1.0]]))
 
     def test_delivery_tie_goes_to_smaller_id(self, line_scenario):
         s = line_scenario
         X_int = np.ones((3, 2))
-        out = round_delivery(PathGeometry(s), X_int, np.array([[0.5, 0.5]]))
+        out = round_delivery(PathGeometry(s).evaluate(X_int), np.array([[0.5, 0.5]]))
         assert np.array_equal(out, np.array([[1.0, 0.0]]))
 
     def test_delivery_falls_back_to_requested(self, line_scenario):
         # nothing is cached anywhere, not even at the source: the requested
         # content 0 is served although the fractional row prefers content 1
         s = line_scenario
-        out = round_delivery(PathGeometry(s), np.zeros((3, 2)), np.array([[0.1, 0.9]]))
+        out = round_delivery(PathGeometry(s).evaluate(np.zeros((3, 2))), np.array([[0.1, 0.9]]))
         assert np.array_equal(out, np.array([[1.0, 0.0]]))
 
     def test_delivery_is_feasible(self, line_scenario):
         s = line_scenario
         X_int = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         Q = np.array([[0.1, 0.9]])
-        out = round_delivery(PathGeometry(s), X_int, Q)
+        out = round_delivery(PathGeometry(s).evaluate(X_int), Q)
         f = int(np.argmax(out[0]))
         assert oracle_h(s, X_int, out, 0, f) == 0.0
 
@@ -252,6 +254,24 @@ class TestSolveOffline:
         res = solve_offline(line_scenario, SolverConfig(delta=1e12, max_iters=100))
         assert res.trace.stop_reason == "converged"
         assert res.trace.iterations <= 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trace_uses_the_one_lagrangian(self, seed):
+        s = generate_scenario(GenConfig(seed=seed, alpha=1.0))
+        res = solve_offline(s, SolverConfig(max_iters=200))
+        last = dict(zip(TRACE_COLUMNS, res.trace.rows[-1]))
+        geom = PathGeometry(s)
+        S = res.fractional
+        assert last["lagrangian"] == geom.lagrangian(S, res.dual)
+        assert last["objective"] == geom.evaluate(S.X).objective(S.Q)
+
+    def test_each_iterate_is_evaluated_once(self, default_scenario, evaluations):
+        for n in (3, 7):
+            evaluations.clear()
+            res = solve_offline(default_scenario, SolverConfig(max_iters=n))
+            assert res.trace.stop_reason == "max_iters"
+            # the start and the n iterates, then the rounded caching
+            assert len(evaluations) == (n + 1) + 1
 
     def test_fractional_iterate_feasible(self, small_scenario):
         s = small_scenario

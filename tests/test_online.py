@@ -62,7 +62,7 @@ class TestStochasticGradients:
         s = small_scenario
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        gx, gq, gmu = stochastic_gradients(PathGeometry(s), S, mu, [], 1.0)
+        gx, gq, gmu = stochastic_gradients(PathGeometry(s).evaluate(S.X), S.Q, mu, [], 1.0)
         assert not gx.any() and not gq.any() and not gmu.any()
 
     def test_single_arrival_matches_bracket_rows(self, line_scenario):
@@ -70,18 +70,19 @@ class TestStochasticGradients:
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig())
         mu = np.full((1, 2), 0.3)
-        gx, gq, gmu = stochastic_gradients(geom, S, mu, [0], 2.0)
+        terms = geom.evaluate(S.X)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, [0], 2.0)
         # unit weights give the rate-free bracket rows
         ones = np.ones(s.num_requests)
-        assert np.allclose(gq[0], grad_q(geom, S, mu, ones)[0] / 2.0)
-        assert np.allclose(gmu[0], grad_mu(geom, S, ones)[0] / 2.0)
+        assert np.allclose(gq[0], grad_q(terms, S.Q, mu, ones)[0] / 2.0)
+        assert np.allclose(gmu[0], grad_mu(terms, S.Q, ones)[0] / 2.0)
 
     def test_unobserved_requests_contribute_nothing(self, small_scenario):
         s = small_scenario
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        _, gq, gmu = stochastic_gradients(geom, S, mu, [0], 1.0)
+        _, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, [0], 1.0)
         assert not gq[1:].any() and not gmu[1:].any()
 
     def test_counts_scale_linearly(self, small_scenario):
@@ -89,8 +90,9 @@ class TestStochasticGradients:
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        one = stochastic_gradients(geom, S, mu, [0], 1.0)
-        three = stochastic_gradients(geom, S, mu, [0] * 3, 1.0)
+        terms = geom.evaluate(S.X)
+        one = stochastic_gradients(terms, S.Q, mu, [0], 1.0)
+        three = stochastic_gradients(terms, S.Q, mu, [0] * 3, 1.0)
         for a, b in zip(one, three):
             assert np.allclose(3.0 * a, b)
 
@@ -102,6 +104,7 @@ class TestStochasticGradients:
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig())
         mu = np.full((s.num_requests, s.num_contents), 0.2)
+        terms = geom.evaluate(S.X)
 
         streams = RequestStreams(9, s.num_requests)
         n_slots = 2000
@@ -112,13 +115,13 @@ class TestStochasticGradients:
             counts = streams.draw_counts(geom.rates, 1.0)
             observed = [r for r in range(s.num_requests)
                         for _ in range(int(counts[r]))]
-            for acc, g in zip(sums, stochastic_gradients(geom, S, mu, observed, 1.0)):
+            for acc, g in zip(sums, stochastic_gradients(terms, S.Q, mu, observed, 1.0)):
                 acc += g
         means = [a / n_slots for a in sums]
 
-        gx = grad_x(geom, S, mu)
-        gq = grad_q(geom, S, mu)
-        gmu = grad_mu(geom, S)
+        gx = grad_x(terms, S.Q, mu)
+        gq = grad_q(terms, S.Q, mu)
+        gmu = grad_mu(terms, S.Q)
         scale = max(np.abs(gx).max(), 1.0)
         assert np.allclose(means[0], gx, atol=0.2 * scale)
         assert np.allclose(means[1], gq,
@@ -150,7 +153,7 @@ class TestRunOnline:
         # reconstruct each slot's pre-update rounded caching and delivery
         S0 = initial_state(s, SolverConfig())
         X_prev = round_caching(s, S0.X)
-        Q_prev = round_delivery(geom, X_prev, S0.Q)
+        Q_prev = round_delivery(geom.evaluate(X_prev), S0.Q)
         for o in res.outcomes:
             avail = geom.availability_products(X_prev) <= 0.0
             for r, f_prime, delay, dis in o.triples:
@@ -176,15 +179,24 @@ class TestRunOnline:
         mu = np.zeros((R, s.num_contents))
         counts = RequestStreams(cfg.seed, R).draw_counts(geom.rates, cfg.slot_length)
         observed = np.repeat(np.arange(R), counts)
-        gx, gq, gmu = stochastic_gradients(geom, S, mu, observed, cfg.slot_length)
+        gx, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, observed,
+                                           cfg.slot_length)
         S_next = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
         mu_next = dual_step(mu, gmu, 1, cfg.eta_mu)
         assert np.array_equal(res.final_state.X, S_next.X)
         assert np.array_equal(res.final_state.Q, S_next.Q)
         assert np.array_equal(res.final_dual, mu_next) and mu_next.any()
         # the mu-gradient at the fresh iterate would give another dual
-        _, _, gmu_next = stochastic_gradients(geom, S_next, mu, observed, cfg.slot_length)
+        _, _, gmu_next = stochastic_gradients(geom.evaluate(S_next.X), S_next.Q, mu, observed,
+                                              cfg.slot_length)
         assert not np.array_equal(res.final_dual, dual_step(mu, gmu_next, 1, cfg.eta_mu))
+
+    def test_at_most_two_evaluations_per_slot(self, small_scenario, evaluations):
+        for k in (3, 6):
+            evaluations.clear()
+            run_online(small_scenario, OnlineConfig(num_slots=k, seed=1))
+            # per slot: the new fractional iterate and its rounded caching
+            assert len(evaluations) <= 2 * k + 2
 
     def test_state_stays_feasible(self, small_scenario):
         s = small_scenario
