@@ -72,7 +72,7 @@ def solve_summary_row(s, scheme, cfg):
     """One summary row (scheme, expected_delay, ...) for a single solve;
     ``cfg.pin_delivery`` selects the adaptive-caching mode."""
     res = solve_offline(s, cfg)
-    frac_obj = res.trace.rows[-1][2] if res.trace.rows else res.rounded.objective
+    frac_obj = res.trace.rows[-1][2]
     gap = ((res.rounded.objective - frac_obj) / frac_obj) if frac_obj > 0 else 0.0
     return res, {
         "scheme": scheme,

@@ -2,10 +2,12 @@
 
 Every gradient reads the `PathTerms` of the current caching iterate,
 which hold (1 - x) along each path and its prefix products, so none of
-them gathers or multiplies along the paths again.  The x-derivatives need
-leave-one-out path products; those are built from the prefix products, a
-suffix cumulative product and a backward recurrence, so no entry is ever
-divided by (1 - x), which would be unstable as x approaches 1.
+them gathers or multiplies along the paths again.  The x-derivative at a
+path position is q times the prefix product before it times one bracket,
+the downstream delay plus mu times the downstream availability product;
+a single backward recurrence along the path builds that bracket, so no
+entry is ever divided by (1 - x), which would be unstable as x
+approaches 1.
 
 Each gradient is a sum over requests of a per-request term times that
 request's weight.  The weights default to the arrival rates, which gives
@@ -23,41 +25,28 @@ from .model import Scenario
 
 def x_position_contributions(terms: PathTerms, Q: np.ndarray,
                              mu: np.ndarray) -> np.ndarray:
-    """(R, P, F) x-derivative brackets per path position, weight factored out.
+    """(R, P, F) contributions to dL/dx per path position of each request.
 
-    Entry (r, j, f') is the contribution of request r to dL/dx at node
-    p_{j+1} of its path (zero at padded positions), excluding the request's
-    weight.  Summing weighted entries into their node rows yields the
-    gradient.
+    ``Q`` is the weighted delivery, each request's row of q scaled by its
+    weight.  Entry (r, j, f') is request r's contribution to dL/dx at node
+    p_{j+1} of its path, zero at padded positions; summing the entries
+    into their node rows yields the gradient.
     """
     geom, Y, CP = terms.geom, terms.Y, terms.CP
-    R, P, F = Y.shape
-    pref_prev = np.ones_like(CP)
-    pref_prev[:, 1:, :] = CP[:, :-1, :]
-
-    # G[j] = sum_{hops k >= j} tau_k * prod_{j < j' <= k} (1 - x_{p_j'}),
-    # via G[j] = tau_j + (1 - x_{p_{j+1}}) * G[j+1]; padded taus are 0 so
-    # the recurrence self-terminates for short paths.
-    G = np.zeros((R, P, F))
-    if P >= 2:
-        G[:, P - 2, :] = geom.taus[:, P - 2, None]
-        for j in range(P - 3, -1, -1):
-            G[:, j, :] = geom.taus[:, j, None] + Y[:, j + 1, :] * G[:, j + 1, :]
-    delay_part = Q[:, None, :] * pref_prev
-    delay_part *= G
-    del G
-
-    # leave-one-out availability products over the path positions: prefix
-    # times suffix products, formed in pref_prev's buffer (the last
-    # position has no suffix); the availability part and the sum are formed
-    # in place too, so that no further (R, P, F) array is allocated
-    SP = np.cumprod(Y[:, ::-1, :], axis=1)[:, ::-1, :]
-    loo = pref_prev
-    loo[:, :-1, :] *= SP[:, 1:, :]
-    loo[~geom.mask, :] = 0.0
-    loo *= (mu * Q)[:, None, :]
-    delay_part += loo
-    return np.negative(delay_part, out=delay_part)
+    P = Y.shape[1]
+    # H[j] = sum_{hops k >= j} tau_k * prod_{j < j' <= k} (1 - x_{p_j'})
+    #        + mu * prod_{j' > j} (1 - x_{p_j'}),
+    # the delay and availability brackets of position j; padded taus are 0
+    # and padded (1 - x) is 1, so H is mu past the end of a short path
+    H = np.empty_like(Y)
+    H[:, P - 1, :] = mu
+    for j in range(P - 2, -1, -1):
+        np.multiply(Y[:, j + 1, :], H[:, j + 1, :], out=H[:, j, :])
+        H[:, j, :] += geom.taus[:, j, None]
+    H[:, 1:, :] *= CP[:, :-1, :]
+    H *= -Q[:, None, :]
+    H[~geom.mask, :] = 0.0
+    return H
 
 
 def grad_x(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
@@ -65,10 +54,9 @@ def grad_x(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
     """|V| x |F| matrix of dL/dx_{v,f'}; ``weights`` default to the rates."""
     geom = terms.geom
     w = geom.rates if weights is None else weights
-    contrib = x_position_contributions(terms, Q, mu)
-    weighted = w[:, None, None] * contrib
+    contrib = x_position_contributions(terms, w[:, None] * Q, mu)
     V, F = geom.scenario.num_nodes, geom.scenario.num_contents
-    gX = np.bincount(geom.node_content_index, weights=weighted.ravel(),
+    gX = np.bincount(geom.node_content_index, weights=contrib.ravel(),
                      minlength=V * F)
     return gX.reshape(V, F)
 

@@ -79,35 +79,32 @@ def projected_primal_update(
     geom: PathGeometry,
     S: PrimalState,
     gx: np.ndarray,
-    gq: np.ndarray,
+    gq: np.ndarray | None,
     eta_x: float,
     eta_q: float,
-    pin_delivery: bool = False,
 ) -> PrimalState:
     """Gradient step with per-block steps, then exact row-wise projection.
 
     Gradient entries of source-pinned x variables are zeroed before the
-    step; the projection re-pins them at 1 regardless.
+    step; the projection re-pins them at 1 regardless.  Without a delivery
+    gradient ``gq``, Q stays as it is.
     """
     s = geom.scenario
     pins = s.source_mask()
     gx = gx.copy()
     gx[pins] = 0.0
     X = project_cache_matrix(S.X - eta_x * gx, s.capacities, pins)
-    if pin_delivery:
-        Q = S.Q
-    else:
-        Q = project_delivery_matrix(S.Q - eta_q * gq)
+    Q = S.Q if gq is None else project_delivery_matrix(S.Q - eta_q * gq)
     return PrimalState(X, Q)
 
 
 def primal_step(terms: PathTerms, S: PrimalState, mu: np.ndarray,
                 cfg: SolverConfig) -> PrimalState:
-    """One descent step on both primal blocks with step eta_s at S.X's terms."""
+    """One descent step with step eta_s at S.X's terms, on both primal
+    blocks, or on X alone in adaptive-caching mode."""
     gx = grad_x(terms, S.Q, mu)
-    gq = grad_q(terms, S.Q, mu) if not cfg.pin_delivery else np.zeros_like(S.Q)
-    return projected_primal_update(terms.geom, S, gx, gq, cfg.eta_s, cfg.eta_s,
-                                   cfg.pin_delivery)
+    gq = None if cfg.pin_delivery else grad_q(terms, S.Q, mu)
+    return projected_primal_update(terms.geom, S, gx, gq, cfg.eta_s, cfg.eta_s)
 
 
 def dual_step(mu: np.ndarray, g_mu: np.ndarray, n: int,

@@ -80,15 +80,15 @@ class RequestStreams:
 
 
 def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
-                         observed, T: float) -> tuple:
+                         counts: np.ndarray, T: float) -> tuple:
     """Unbiased per-slot gradient estimates from observed request arrivals.
 
-    ``observed`` is the multiset of request indices seen this slot.  The
+    ``counts`` holds each request's number of arrivals this slot.  The
     estimates are the analytic gradients (x, q, mu) with each request's
     rate replaced by its arrival count / T, so requests with no arrivals
     contribute nothing.
     """
-    w = np.bincount(observed, minlength=len(Q)) / T
+    w = counts / T
     return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, Q, w)
 
 
@@ -133,8 +133,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             slot_delay += c * delay
             slot_dissim += c * dis
 
-        gx, gq, gmu = stochastic_gradients(
-            terms, S.Q, mu, [r for r, _, _, _ in triples], cfg.slot_length)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length)
         S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
         terms = geom.evaluate(S.X)

@@ -226,10 +226,8 @@ def test_criterion_8_stochastic_gradients_are_unbiased():
     sumsq = [np.zeros(sh) for sh in shapes]
     for _ in range(n_slots):
         counts = streams.draw_counts(geom.rates, 1.0)
-        observed = [r for r in range(s.num_requests)
-                    for _ in range(int(counts[r]))]
         for acc, acc2, g in zip(sums, sumsq,
-                                stochastic_gradients(geom.evaluate(S.X), S.Q, mu, observed, 1.0)):
+                                stochastic_gradients(geom.evaluate(S.X), S.Q, mu, counts, 1.0)):
             acc += g
             acc2 += g * g
     means = [a / n_slots for a in sums]

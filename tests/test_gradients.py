@@ -19,6 +19,42 @@ def zeros_like_state(s):
             np.zeros((s.num_requests, s.num_contents)))
 
 
+def padded_path_scenario(kind):
+    """Instances whose paths end the x-gradient recurrence early.
+
+    "at_sources": every request starts at its content's source, so each
+    path is one node (P = 1) and only the availability term -q * mu is
+    left.  "mixed_lengths": paths of 4, 3, 2 and 1 nodes padded to 4
+    positions, at non-unit rates; the short paths end on the terminal
+    value mu, and their padded positions, which carry node 0, must add
+    nothing to node 0's row.
+    """
+    if kind == "at_sources":
+        return Scenario(
+            catalog=Catalog(2),
+            network=Network(2, {(0, 1): 1.0}),
+            sources=(frozenset({0}), frozenset({1})),
+            requests=(Request(0, Path((0,)), 1.5), Request(1, Path((1,)), 0.7),
+                      Request(0, Path((0,)), 2.0)),
+            dissimilarity=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            capacities=np.array([1, 1]),
+            alpha=1.0,
+        )
+    return Scenario(
+        catalog=Catalog(3),
+        network=Network(5, {(0, 1): 2.0, (1, 2): 5.0, (2, 3): 1.5, (2, 4): 3.0}),
+        sources=(frozenset({3}), frozenset({3}), frozenset({3})),
+        requests=(Request(0, Path((0, 1, 2, 3)), 0.4),
+                  Request(1, Path((4, 2, 3)), 2.5),
+                  Request(2, Path((2, 3)), 1.3),
+                  Request(0, Path((3,)), 0.9)),
+        dissimilarity=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+                                [2.0, 1.0, 0.0]]),
+        capacities=np.array([1, 1, 1, 1, 1]),
+        alpha=1.0,
+    )
+
+
 class TestGradX:
     def test_zero_q_zero_mu_gives_zero(self, small_scenario):
         s = small_scenario
@@ -53,6 +89,18 @@ class TestGradX:
             g = grad_x(PathGeometry(small_scenario).evaluate(S.X), S.Q, mu)
             assert rel_err(g, fd).max() <= 1e-4
 
+    @pytest.mark.parametrize("kind", ["at_sources", "mixed_lengths"])
+    def test_padded_paths_match_finite_differences(self, kind):
+        s = padded_path_scenario(kind)
+        geom = PathGeometry(s)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            S = random_box_state(s, rng)
+            mu = rng.uniform(0, 2, size=S.Q.shape)
+            fd = fd_gradient(s, S, mu, "x", step=1e-6)
+            g = grad_x(geom.evaluate(S.X), S.Q, mu)
+            assert rel_err(g, fd).max() <= 1e-4
+
     @pytest.mark.parametrize("scenario", ["small_scenario", "default_scenario"])
     def test_scatter_matches_add_at_oracle(self, scenario, request):
         s = request.getfixturevalue(scenario)
@@ -63,7 +111,7 @@ class TestGradX:
             mu = rng.uniform(0, 2, size=S.Q.shape)
             weights = geom.rates if w is None else w
             terms = geom.evaluate(S.X)
-            contrib = weights[:, None, None] * x_position_contributions(terms, S.Q, mu)
+            contrib = x_position_contributions(terms, weights[:, None] * S.Q, mu)
             expected = oracle_scatter_rows(geom.nodes, contrib, s.num_nodes)
             assert np.array_equal(grad_x(terms, S.Q, mu, w), expected)
 

@@ -62,7 +62,8 @@ class TestStochasticGradients:
         s = small_scenario
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        gx, gq, gmu = stochastic_gradients(PathGeometry(s).evaluate(S.X), S.Q, mu, [], 1.0)
+        gx, gq, gmu = stochastic_gradients(PathGeometry(s).evaluate(S.X), S.Q, mu,
+                                           np.zeros(s.num_requests), 1.0)
         assert not gx.any() and not gq.any() and not gmu.any()
 
     def test_single_arrival_matches_bracket_rows(self, line_scenario):
@@ -71,7 +72,7 @@ class TestStochasticGradients:
         S = initial_state(s, SolverConfig())
         mu = np.full((1, 2), 0.3)
         terms = geom.evaluate(S.X)
-        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, [0], 2.0)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, np.ones(1), 2.0)
         # unit weights give the rate-free bracket rows
         ones = np.ones(s.num_requests)
         assert np.allclose(gq[0], grad_q(terms, S.Q, mu, ones)[0] / 2.0)
@@ -82,7 +83,8 @@ class TestStochasticGradients:
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        _, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, [0], 1.0)
+        _, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu,
+                                         np.eye(s.num_requests)[0], 1.0)
         assert not gq[1:].any() and not gmu[1:].any()
 
     def test_counts_scale_linearly(self, small_scenario):
@@ -91,8 +93,8 @@ class TestStochasticGradients:
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
         terms = geom.evaluate(S.X)
-        one = stochastic_gradients(terms, S.Q, mu, [0], 1.0)
-        three = stochastic_gradients(terms, S.Q, mu, [0] * 3, 1.0)
+        one = stochastic_gradients(terms, S.Q, mu, np.eye(s.num_requests)[0], 1.0)
+        three = stochastic_gradients(terms, S.Q, mu, 3 * np.eye(s.num_requests)[0], 1.0)
         for a, b in zip(one, three):
             assert np.allclose(3.0 * a, b)
 
@@ -113,9 +115,7 @@ class TestStochasticGradients:
                 np.zeros((s.num_requests, s.num_contents))]
         for _ in range(n_slots):
             counts = streams.draw_counts(geom.rates, 1.0)
-            observed = [r for r in range(s.num_requests)
-                        for _ in range(int(counts[r]))]
-            for acc, g in zip(sums, stochastic_gradients(terms, S.Q, mu, observed, 1.0)):
+            for acc, g in zip(sums, stochastic_gradients(terms, S.Q, mu, counts, 1.0)):
                 acc += g
         means = [a / n_slots for a in sums]
 
@@ -178,8 +178,7 @@ class TestRunOnline:
         S = initial_state(s, SolverConfig())
         mu = np.zeros((R, s.num_contents))
         counts = RequestStreams(cfg.seed, R).draw_counts(geom.rates, cfg.slot_length)
-        observed = np.repeat(np.arange(R), counts)
-        gx, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, observed,
+        gx, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, counts,
                                            cfg.slot_length)
         S_next = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
         mu_next = dual_step(mu, gmu, 1, cfg.eta_mu)
@@ -187,7 +186,7 @@ class TestRunOnline:
         assert np.array_equal(res.final_state.Q, S_next.Q)
         assert np.array_equal(res.final_dual, mu_next) and mu_next.any()
         # the mu-gradient at the fresh iterate would give another dual
-        _, _, gmu_next = stochastic_gradients(geom.evaluate(S_next.X), S_next.Q, mu, observed,
+        _, _, gmu_next = stochastic_gradients(geom.evaluate(S_next.X), S_next.Q, mu, counts,
                                               cfg.slot_length)
         assert not np.array_equal(res.final_dual, dual_step(mu, gmu_next, 1, cfg.eta_mu))
 
