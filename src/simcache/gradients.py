@@ -41,8 +41,7 @@ def x_position_contributions(terms: PathTerms, Q: np.ndarray,
     H = np.empty_like(Y)
     H[:, P - 1, :] = mu
     for j in range(P - 2, -1, -1):
-        np.multiply(Y[:, j + 1, :], H[:, j + 1, :], out=H[:, j, :])
-        H[:, j, :] += geom.taus[:, j, None]
+        H[:, j, :] = geom.taus[:, j, None] + Y[:, j + 1, :] * H[:, j + 1, :]
     H[:, 1:, :] *= CP[:, :-1, :]
     H *= -Q[:, None, :]
     H[~geom.mask, :] = 0.0
