@@ -90,7 +90,7 @@ def run_per_cache_baseline(s: Scenario, cfg: PerCacheConfig) -> PerCacheResult:
     insert_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed).spawn(s.num_requests + 1)[-1])
 
-    full_path_delay = geom.taus.sum(axis=1)  # delay with every cache empty
+    full_path_delay = geom.delays(np.zeros((s.num_nodes, 1)))[:, 0]  # caches empty
     ingress = [r.path.nodes[0] for r in s.requests]
     caches: dict[int, deque] = {
         v: deque() for v in sorted(set(ingress))

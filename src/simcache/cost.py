@@ -1,9 +1,16 @@
 """Delay, delivery cost, objective, availability constraint, Lagrangian.
 
-`PathGeometry.evaluate(X)` gathers (1 - x) along every padded request
-path once and returns the `PathTerms` of caching iterate X, on which every
-cost quantity of all (request, content) pairs is defined; the gradients
-read the same terms.  The tests check them against per-term oracles.
+`PathGeometry` is a suffix trie of the request paths: trie node u is one
+distinct path suffix, shared by every request path that ends in it.  With
+y = 1 - x at u's network node and tau(u) the hop delay to u's parent (0
+at a terminal), the delay T and the availability A are recursions from
+the terminals, T(u) = y * (tau(u) + T(parent)) and A(u) = y * A(parent),
+with T = 0 and A = 1 past a terminal.  `PathGeometry.evaluate(X)` gathers
+y once per trie node, runs both in one loop over the trie levels and
+returns the `PathTerms` of iterate X: T and A at each request's start
+node, and each node's bracket W(u) = [tau(u) + T(parent) | A(parent)],
+from which the gradients take dL/dx.  Every cost quantity is defined on
+`PathTerms`; the tests check them against per-term oracles.
 """
 
 from __future__ import annotations
@@ -24,33 +31,37 @@ class PrimalState:
 
 
 class PathGeometry:
-    """Padded per-request path arrays for vectorized cost/gradient math.
-
-    Paths are padded to a common length; padded positions carry node 0
-    with a False mask and contribute neutral factors (1 - x treated as 1,
-    tau as 0).
-    """
+    """Suffix trie of the request paths: trie node u holds ``node[u]``,
+    ``tau[u]`` and ``parent[u]`` (the sentinel N at a terminal).  Nodes are
+    numbered level by level from the terminals, siblings contiguous, so
+    each level is a slice whose parents lie in the level before; request r
+    starts at trie node ``start[r]``."""
 
     def __init__(self, s: Scenario):
         self.scenario = s
-        R = s.num_requests
-        P = max((len(r.path) for r in s.requests), default=1)
-        nodes = np.zeros((R, P), dtype=int)
-        mask = np.zeros((R, P), dtype=bool)
-        taus = np.zeros((R, max(P - 1, 1)), dtype=float)
-        for i, r in enumerate(s.requests):
-            p = r.path.nodes
-            nodes[i, : len(p)] = p
-            mask[i, : len(p)] = True
-            for k in range(len(p) - 1):
-                taus[i, k] = s.network.delay(p[k], p[k + 1])
-        self.nodes = nodes
-        self.mask = mask
-        # flat index into a (V, F) matrix of each (request, position,
-        # content) entry of an (R, P, F) tensor, for scattering into node rows
         F = s.num_contents
-        self.node_content_index = (nodes.ravel()[:, None] * F + np.arange(F)).ravel()
-        self.taus = taus
+        lane = np.arange(2 * F)  # the entries of one trie node's row [T | A]
+        # by length, then reversed: each level after its parents', siblings together
+        suffixes = sorted({p[j:] for p in (r.path.nodes for r in s.requests)
+                           for j in range(len(p))}, key=lambda t: (len(t), t[::-1]))
+        index = {t: u for u, t in enumerate(suffixes)}
+        index[()] = N = len(suffixes)
+        self.node = np.array([t[0] for t in suffixes], dtype=np.intp)
+        self.parent = np.array([index[t[1:]] for t in suffixes], dtype=np.intp)
+        self.tau = np.array([s.network.delay(*t[:2]) if len(t) > 1 else 0.0 for t in suffixes])
+        self.start = np.array([index[r.path.nodes] for r in s.requests], dtype=np.intp)
+        self.node_rows = self.node.repeat(2)
+        bounds = [0, *np.cumsum(np.bincount(np.array([len(t) for t in suffixes], dtype=int))[1:])]
+        # (first, end, parents, [tau | 0] as (n, 2, 1)) of each level, terminals first
+        tau = np.stack([self.tau, np.zeros(N)], axis=1)[:, :, None]
+        self.levels = [(a, b, self.parent[a:b], tau[a:b]) for a, b in zip(bounds, bounds[1:])]
+        # levels below the terminals, deepest first: flat slices of it and its parents, index
+        self.pushes = [(2 * F * a, 2 * F * b, 2 * F * pa, 2 * F * pb,
+                        ((self.parent[a:b] - pa)[:, None] * 2 * F + lane).ravel())
+                       for (pa, pb, *_), (a, b, *_) in zip(self.levels, self.levels[1:])][::-1]
+        # flat index of (trie node, content) into (V, F), of start rows into (N, 2, F)
+        self.node_content_index = (self.node[:, None] * F + lane[:F]).ravel()
+        self.start_index = (self.start[:, None] * 2 * F + lane).ravel()
         self.rates = s.rates()
         self.req_content = np.array([r.content for r in s.requests], dtype=int)
         # dissimilarity row of each request's content: (R, F)
@@ -58,12 +69,18 @@ class PathGeometry:
 
     def evaluate(self, X: np.ndarray) -> PathTerms:
         """The path terms of caching iterate X; the only gather of (1 - x)."""
-        Y = 1.0 - X[self.nodes, :]
-        Y[~self.mask, :] = 1.0
-        CP = np.cumprod(Y, axis=1)
-        # hop k (0-based) uses the prefix product through position k
-        delays = np.einsum("rk,rkf->rf", self.taus, CP[:, : self.taus.shape[1], :])
-        return PathTerms(self, Y, CP, delays, CP[:, -1, :])
+        N, F = self.node.size, X.shape[1]
+        Y = X[self.node_rows].reshape(N, 2, F)  # 1 - x, once for each block
+        np.subtract(1.0, Y, out=Y)
+        Z = np.empty((N + 1, 2, F))  # [T | A], then the sentinel row [0 | 1]
+        Z[N, 0], Z[N, 1] = 0.0, 1.0
+        W = np.empty((N, 2, F))
+        for a, b, parents, tau in self.levels:
+            w = W[a:b]
+            Z.take(parents, 0, w, 'clip')  # parents are in range; 'clip' skips a buffer
+            np.add(w, tau, out=w)
+            np.multiply(w, Y[a:b], out=Z[a:b])
+        return PathTerms(self, Y, W, Z[self.start, 0], Z[self.start, 1])
 
     def delays(self, X: np.ndarray) -> np.ndarray:
         """(R, F) matrix of delivery delays t_{(f,p),f'}(X)."""
@@ -83,8 +100,8 @@ class PathTerms:
     gradient evaluated at X; the delivery Q and multipliers mu are passed in."""
 
     geom: PathGeometry
-    Y: np.ndarray  # (R, P, F) 1 - x along each path, 1 at padded positions
-    CP: np.ndarray  # (R, P, F) prefix products of Y along each path
+    Y: np.ndarray  # (N, 2, F) 1 - x at each trie node, in both blocks
+    W: np.ndarray  # (N, 2, F) brackets [tau(u) + T(parent) | A(parent)]
     delays: np.ndarray  # (R, F) delivery delays t_{(f,p),f'}(X)
     avail: np.ndarray  # (R, F) products over the whole path of (1 - x)
 

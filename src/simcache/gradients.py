@@ -1,13 +1,13 @@
 """Analytic Lagrangian gradients and a finite-difference oracle.
 
-Every gradient reads the `PathTerms` of the current caching iterate,
-which hold (1 - x) along each path and its prefix products, so none of
-them gathers or multiplies along the paths again.  The x-derivative at a
-path position is q times the prefix product before it times one bracket,
-the downstream delay plus mu times the downstream availability product;
-a single backward recurrence along the path builds that bracket, so no
-entry is ever divided by (1 - x), which would be unstable as x
-approaches 1.
+Every gradient reads the `PathTerms` of the current caching iterate, so
+none of them gathers or multiplies along the paths again.  dL/dx is the
+third recurrence on the suffix trie of `cost`: at trie node u it is
+-(W_T(u) * B(u) + W_A(u) * C(u)), where B and C sum w * q and w * mu * q
+over the requests through u, each times (1 - x) over its path before u.
+Both are seeded at the start nodes and pushed level by level toward the
+terminals, times (1 - x) at each step, so nothing is divided by (1 - x),
+which would be unstable as x approaches 1.
 
 Each gradient is a sum over requests of a per-request term times that
 request's weight.  The weights default to the arrival rates, which gives
@@ -25,27 +25,24 @@ from .model import Scenario
 
 def x_position_contributions(terms: PathTerms, Q: np.ndarray,
                              mu: np.ndarray) -> np.ndarray:
-    """(R, P, F) contributions to dL/dx per path position of each request.
+    """(N, F) contributions to dL/dx of each trie node.
 
     ``Q`` is the weighted delivery, each request's row of q scaled by its
-    weight.  Entry (r, j, f') is request r's contribution to dL/dx at node
-    p_{j+1} of its path, zero at padded positions; summing the entries
-    into their node rows yields the gradient.
+    weight.  Row u is the contribution of every request through trie node
+    u to dL/dx at u's network node; summing the rows into their node rows
+    yields the gradient.
     """
-    geom, Y, CP = terms.geom, terms.Y, terms.CP
-    P = Y.shape[1]
-    # H[j] = sum_{hops k >= j} tau_k * prod_{j < j' <= k} (1 - x_{p_j'})
-    #        + mu * prod_{j' > j} (1 - x_{p_j'}),
-    # the delay and availability brackets of position j; padded taus are 0
-    # and padded (1 - x) is 1, so H is mu past the end of a short path
-    H = np.empty_like(Y)
-    H[:, P - 1, :] = mu
-    for j in range(P - 2, -1, -1):
-        H[:, j, :] = geom.taus[:, j, None] + Y[:, j + 1, :] * H[:, j + 1, :]
-    H[:, 1:, :] *= CP[:, :-1, :]
-    H *= -Q[:, None, :]
-    H[~geom.mask, :] = 0.0
-    return H
+    geom, Y = terms.geom, terms.Y.ravel()
+    N, _, F = terms.Y.shape
+    seed = np.empty((Q.shape[0], 2, F))  # [-B | -C] in W's layout: -q | -mu * q
+    np.multiply(mu, np.negative(Q, out=seed[:, 0]), out=seed[:, 1])
+    BC = np.bincount(geom.start_index, weights=seed.ravel(),
+                     minlength=N * 2 * F).astype(float, copy=False)  # ints if no requests
+    for a, b, pa, pb, index in geom.pushes:
+        BC[pa:pb] += np.bincount(index, weights=BC[a:b] * Y[a:b], minlength=pb - pa)
+    BC = BC.reshape(N, 2, F)
+    BC *= terms.W
+    return BC[:, 0] + BC[:, 1]
 
 
 def grad_x(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,

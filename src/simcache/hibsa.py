@@ -124,10 +124,11 @@ def dual_step(mu: np.ndarray, g_mu: np.ndarray, n: int,
 
 def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
     """Per node: pin sources, then cache the capacity-many non-source
-    contents with largest fractional value (ties to smaller content id)."""
+    contents with largest fractional value (ties to smaller content id).
+    Values are ranked on a 1e-12 grid, so rounding noise counts as a tie."""
     pins = s.source_mask()
     # stable: ties keep id order; pinned entries sort after the free ones
-    order = np.argsort(np.where(pins, np.inf, -X), axis=1, kind="stable")
+    order = np.argsort(np.where(pins, np.inf, -np.round(X, 12)), axis=1, kind="stable")
     rank = np.argsort(order, axis=1)
     out = np.zeros_like(X)
     out[pins | (rank < np.asarray(s.capacities)[:, None])] = 1.0

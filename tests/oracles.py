@@ -64,11 +64,49 @@ def oracle_round_caching(s, X):
 
 
 def oracle_scatter_rows(nodes, contrib, num_nodes):
-    """Sum each (request, position) row of an (R, P, F) tensor into the
-    row of its node, by an unbuffered np.add.at."""
-    out = np.zeros((num_nodes, contrib.shape[2]))
-    np.add.at(out, nodes.ravel(), contrib.reshape(-1, contrib.shape[2]))
+    """Sum each row of an (N, F) array into the row of its node, by an
+    unbuffered np.add.at."""
+    out = np.zeros((num_nodes, contrib.shape[1]))
+    np.add.at(out, nodes, contrib)
     return out
+
+
+def padded_path_oracle(s, X, Q, mu, weights=None):
+    """Delays, availability products and dL/dx by the padded layout.
+
+    Every request path is padded to the longest with node 0, where (1 - x)
+    reads as 1 and the hop delay as 0.  Prefix products along each path
+    give the delays and the availability products; dL/dx at path position
+    j is -w * q times the prefix product before j times the bracket H[j],
+    built by one backward recurrence H[j] = tau_j + (1 - x_{j+1}) * H[j+1]
+    from H = mu at the path end, and scattered into node rows by an
+    unbuffered np.add.at.  Returns (delays, avail, grad_x).
+    """
+    R, F = s.num_requests, s.num_contents
+    P = max((len(r.path) for r in s.requests), default=1)
+    nodes = np.zeros((R, P), dtype=int)
+    mask = np.zeros((R, P), dtype=bool)
+    taus = np.zeros((R, P))
+    for i, r in enumerate(s.requests):
+        p = r.path.nodes
+        nodes[i, :len(p)] = p
+        mask[i, :len(p)] = True
+        for k in range(len(p) - 1):
+            taus[i, k] = s.network.delay(p[k], p[k + 1])
+    Y = np.where(mask[:, :, None], 1.0 - X[nodes], 1.0)
+    CP = np.cumprod(Y, axis=1)
+    delays = np.einsum("rk,rkf->rf", taus, CP)
+    w = s.rates() if weights is None else weights
+    H = np.empty_like(Y)
+    H[:, P - 1] = mu
+    for j in range(P - 2, -1, -1):
+        H[:, j] = taus[:, j, None] + Y[:, j + 1] * H[:, j + 1]
+    H[:, 1:] *= CP[:, :-1]
+    H *= -(w[:, None] * Q)[:, None, :]
+    H[~mask] = 0.0
+    gX = np.zeros((s.num_nodes, F))
+    np.add.at(gX, nodes.ravel(), H.reshape(-1, F))
+    return delays, CP[:, -1], gX
 
 
 def enumerate_integer_optimum(s):

@@ -1,10 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simcache.cost import PathGeometry, PrimalState
+from simcache.gradients import grad_x
+from simcache.model import Catalog, Network, Path, Request, Scenario
+from simcache.scenario import GenConfig, generate_scenario
 
 from conftest import make_line_scenario, random_box_state
-from oracles import oracle_delay, oracle_h, oracle_lagrangian, oracle_objective
+from oracles import (oracle_delay, oracle_h, oracle_lagrangian, oracle_objective,
+                     padded_path_oracle)
+
+MID = dict(nodes_side=10, num_contents=100, num_requests=400, num_origins=40, capacity=5)
+BIG = dict(nodes_side=20, num_contents=300, num_requests=2000, num_origins=100, capacity=10)
 
 
 def state_for(s, X=None, Q=None):
@@ -195,3 +206,105 @@ class TestBatchGeometry:
                 assert t[r, f] == pytest.approx(oracle_delay(s, S.X, r, f))
                 ref = oracle_h(s, S.X, np.ones_like(S.Q), r, f)
                 assert avail[r, f] == pytest.approx(ref)
+
+
+@st.composite
+def tree_scenarios(draw):
+    """Requests routed up a random tree toward its root, stopping at the
+    first source of their content.  Requests that start at one node for one content share the
+    whole path, requests from different branches share only the suffix
+    from where the branches meet, and a request that starts at a source
+    has a one-node path; path lengths mix freely."""
+    V = draw(st.integers(1, 12))
+    F = draw(st.integers(1, 5))
+    up = [None] + [draw(st.integers(0, k - 1)) for k in range(1, V)]
+    hop = st.floats(0.5, 10.0)
+    delays = {(up[k], k): draw(hop) for k in range(1, V)}
+    extra = st.lists(st.integers(0, V - 1), max_size=2)
+    sources = tuple(frozenset({0, *draw(extra)}) for _ in range(F))
+    requests = []
+    for _ in range(draw(st.integers(1, 15))):
+        f = draw(st.integers(0, F - 1))
+        path = [draw(st.integers(0, V - 1))]
+        while path[-1] not in sources[f]:
+            path.append(up[path[-1]])
+        rate = draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
+        requests.append(Request(f, Path(tuple(path)), rate))
+    return Scenario(
+        catalog=Catalog(F),
+        network=Network(V, delays),
+        sources=sources,
+        requests=tuple(requests),
+        dissimilarity=np.zeros((F, F)),
+        capacities=np.ones(V, dtype=int),
+        alpha=1.0,
+    )
+
+
+generated_scenarios = st.builds(
+    lambda size, seed: generate_scenario(GenConfig(seed=seed, **size)),
+    st.sampled_from([{}, MID]), st.integers(0, 20))
+
+
+class TestSuffixTrie:
+    def test_shared_suffixes_share_nodes(self):
+        # paths 0-1-2-3 and 4-2-3 share the suffix 2-3; 3 alone is the terminal
+        s = Scenario(
+            catalog=Catalog(1),
+            network=Network(5, {(0, 1): 2.0, (1, 2): 5.0, (2, 3): 1.5, (2, 4): 3.0}),
+            sources=(frozenset({3}),),
+            requests=(Request(0, Path((0, 1, 2, 3)), 1.0), Request(0, Path((4, 2, 3)), 1.0),
+                      Request(0, Path((0, 1, 2, 3)), 2.0), Request(0, Path((3,)), 1.0)),
+            dissimilarity=np.zeros((1, 1)),
+            capacities=np.ones(5, dtype=int),
+            alpha=1.0,
+        )
+        geom = PathGeometry(s)
+        # levels: (3), (2 3), (1 2 3) and (4 2 3), (0 1 2 3)
+        assert geom.node.tolist() == [3, 2, 1, 4, 0]
+        assert geom.parent.tolist() == [5, 0, 1, 1, 2]
+        assert geom.tau.tolist() == [0.0, 1.5, 5.0, 3.0, 2.0]
+        assert geom.start.tolist() == [4, 3, 4, 0]
+        assert [(a, b) for a, b, *_ in geom.levels] == [(0, 1), (1, 2), (2, 4), (4, 5)]
+
+    @pytest.mark.parametrize("size", [{}, MID])
+    def test_levels_follow_their_parents(self, size):
+        geom = PathGeometry(generate_scenario(GenConfig(seed=0, **size)))
+        prev = (geom.node.size, geom.node.size + 1)  # the sentinel
+        for a, b, parents, _ in geom.levels:
+            assert prev[0] <= parents.min() and parents.max() < prev[1]
+            assert np.all(np.diff(parents) >= 0)  # siblings are contiguous
+            prev = (a, b)
+        assert prev[1] == geom.node.size
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(tree_scenarios(), generated_scenarios), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_matches_padded_oracle(self, s, seed, rate_weights):
+        rng = np.random.default_rng(seed)
+        V, F, R = s.num_nodes, s.num_contents, s.num_requests
+        X = rng.uniform(size=(V, F))
+        Q = rng.uniform(size=(R, F))
+        mu = rng.uniform(0.0, 2.0, size=(R, F))
+        w = None if rate_weights else rng.uniform(0.0, 3.0, size=R)
+        terms = PathGeometry(s).evaluate(X)
+        got = (terms.delays, terms.avail, grad_x(terms, Q, mu, w))
+        # every term is a sum of nonnegative products, so a relative bound holds
+        for a, b in zip(got, padded_path_oracle(s, X, Q, mu, w)):
+            assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
+
+    def test_big_instance_memory(self):
+        s = generate_scenario(GenConfig(seed=0, **BIG))
+        rng = np.random.default_rng(0)
+        X = rng.uniform(size=(s.num_nodes, s.num_contents))
+        Q = rng.uniform(size=(s.num_requests, s.num_contents))
+        mu = rng.uniform(size=Q.shape)
+        geom = PathGeometry(s)
+        tracemalloc.start()
+        try:
+            grad_x(geom.evaluate(X), Q, mu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the padded (R, P, F) layout needs more than 1 GB here
+        assert peak < 250e6

@@ -20,14 +20,14 @@ def zeros_like_state(s):
 
 
 def padded_path_scenario(kind):
-    """Instances whose paths end the x-gradient recurrence early.
+    """Instances whose paths would need padding in a rectangular layout.
 
     "at_sources": every request starts at its content's source, so each
-    path is one node (P = 1) and only the availability term -q * mu is
-    left.  "mixed_lengths": paths of 4, 3, 2 and 1 nodes padded to 4
-    positions, at non-unit rates; the short paths end on the terminal
-    value mu, and their padded positions, which carry node 0, must add
-    nothing to node 0's row.
+    path is one node, a trie terminal, and only the availability term
+    -q * mu is left.  "mixed_lengths": paths of 4, 3, 2 and 1 nodes at
+    non-unit rates, which share the suffixes (2, 3) and (3,), so their
+    x-gradient terms meet in shared trie nodes; node 0 starts only the
+    longest path and must get nothing from the shorter ones.
     """
     if kind == "at_sources":
         return Scenario(
@@ -62,6 +62,20 @@ class TestGradX:
         X[:] = 0.4
         mu = np.zeros_like(Q)
         assert np.all(grad_x(PathGeometry(s).evaluate(X), Q, mu) == 0.0)
+
+    def test_no_requests_gives_zero(self):
+        s = Scenario(
+            catalog=Catalog(2),
+            network=Network(2, {(0, 1): 1.0}),
+            sources=(frozenset({0}), frozenset({1})),
+            requests=(),
+            dissimilarity=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            capacities=np.array([1, 1]),
+            alpha=1.0,
+        )
+        terms = PathGeometry(s).evaluate(np.full((2, 2), 0.5))
+        g = grad_x(terms, np.zeros((0, 2)), np.zeros((0, 2)))
+        assert g.shape == (2, 2) and np.all(g == 0.0)
 
     def test_node_off_all_paths_is_zero(self):
         # star-ish line where node 0 never appears on the request path
@@ -112,7 +126,7 @@ class TestGradX:
             weights = geom.rates if w is None else w
             terms = geom.evaluate(S.X)
             contrib = x_position_contributions(terms, weights[:, None] * S.Q, mu)
-            expected = oracle_scatter_rows(geom.nodes, contrib, s.num_nodes)
+            expected = oracle_scatter_rows(geom.node, contrib, s.num_nodes)
             assert np.array_equal(grad_x(terms, S.Q, mu, w), expected)
 
 

@@ -181,6 +181,14 @@ class TestRounding:
         out = round_caching(line_scenario, X)
         assert np.array_equal(out[:2], np.array([[1.0, 0.0], [1.0, 0.0]]))
 
+    def test_caching_near_tie_rounds_like_a_tie(self, line_scenario):
+        # content 1 leads by one ulp at node 0 and trails by one at node 1:
+        # rounding noise, so both nodes cache the smaller id, as for 0.5 = 0.5
+        up, down = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+        X = np.array([[0.5, up], [0.5, down], [1.0, 1.0]])
+        out = round_caching(line_scenario, X)
+        assert np.array_equal(out[:2], np.array([[1.0, 0.0], [1.0, 0.0]]))
+
     def test_caching_respects_capacity(self, small_scenario):
         rng = np.random.default_rng(11)
         s = small_scenario
