@@ -16,6 +16,7 @@ from which the gradients take dL/dx.  Every cost quantity is defined on
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,8 +106,9 @@ class PathTerms:
     delays: np.ndarray  # (R, F) delivery delays t_{(f,p),f'}(X)
     avail: np.ndarray  # (R, F) products over the whole path of (1 - x)
 
+    @cached_property
     def costs(self) -> np.ndarray:
-        """(R, F) per-delivery costs t + alpha * d."""
+        """(R, F) per-delivery costs t + alpha * d, formed on first use."""
         return self.delays + self.geom.scenario.alpha * self.geom.d_rows
 
     def violations(self, Q: np.ndarray) -> np.ndarray:
@@ -114,15 +116,17 @@ class PathTerms:
         return Q * self.avail
 
     def objective(self, Q: np.ndarray) -> float:
-        return float(np.dot(self.geom.rates, np.sum(Q * self.costs(), axis=1)))
+        return float(np.dot(self.geom.rates, (Q * self.costs).sum(axis=1)))
 
     def expected_delay(self, Q: np.ndarray) -> float:
-        return float(np.dot(self.geom.rates, np.sum(Q * self.delays, axis=1)))
+        return float(np.dot(self.geom.rates, (Q * self.delays).sum(axis=1)))
 
     def dissimilarity_cost(self, Q: np.ndarray) -> float:
         """Rate-weighted dissimilarity component (unweighted by alpha)."""
-        return float(np.dot(self.geom.rates, np.sum(Q * self.geom.d_rows, axis=1)))
+        return float(np.dot(self.geom.rates, (Q * self.geom.d_rows).sum(axis=1)))
 
-    def lagrangian(self, Q: np.ndarray, mu: np.ndarray) -> float:
-        h = self.violations(Q)
-        return self.objective(Q) + float(np.dot(self.geom.rates, np.sum(mu * h, axis=1)))
+    def lagrangian(self, Q: np.ndarray, mu: np.ndarray, objective=None, h=None) -> float:
+        """objective(Q) + rate-weighted <mu, h>; pass Q's objective and h if already formed."""
+        h = self.violations(Q) if h is None else h
+        objective = self.objective(Q) if objective is None else objective
+        return objective + float(np.dot(self.geom.rates, (mu * h).sum(axis=1)))

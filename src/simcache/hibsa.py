@@ -9,6 +9,7 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,15 +86,12 @@ def projected_primal_update(
 ) -> PrimalState:
     """Gradient step with per-block steps, then exact row-wise projection.
 
-    Gradient entries of source-pinned x variables are zeroed before the
-    step; the projection re-pins them at 1 regardless.  Without a delivery
-    gradient ``gq``, Q stays as it is.
+    The step moves source-pinned x entries too: the cache projection never
+    reads them and sets them to exactly 1.  Without a delivery gradient
+    ``gq``, Q stays as it is.
     """
     s = geom.scenario
-    pins = s.source_mask()
-    gx = gx.copy()
-    gx[pins] = 0.0
-    X = project_cache_matrix(S.X - eta_x * gx, s.capacities, pins)
+    X = project_cache_matrix(S.X - eta_x * gx, s.capacities, s.source_mask())
     Q = S.Q if gq is None else project_delivery_matrix(S.Q - eta_q * gq)
     return PrimalState(X, Q)
 
@@ -165,8 +163,10 @@ def evaluate_integer(terms: PathTerms, X_int: np.ndarray,
 
 def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     """Iterate primal/dual steps until |L(n+1) - L(n)| <= delta or the
-    iteration budget runs out, then round greedily.  Each iterate's path
-    terms serve its dual step, its trace row and the next primal step."""
+    iteration budget runs out, then round greedily.  One iterate steps X
+    and Q at the last path terms, evaluates the new ones once, takes the
+    dual step there, and forms its violations and objective once each for
+    the Lagrangian and the trace row; each product is built once."""
     cfg = cfg or SolverConfig()
     geom = PathGeometry(s)
     S = initial_state(s, cfg)
@@ -180,13 +180,11 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
         S = primal_step(terms, S, mu, cfg)
         terms = geom.evaluate(S.X)
         mu = dual_step(mu, grad_mu(terms, S.Q), n, cfg.eta_mu)
-        h = terms.violations(S.Q)
-        L = terms.lagrangian(S.Q, mu)
-        trace.rows.append((
-            n, L, terms.objective(S.Q), terms.expected_delay(S.Q),
-            terms.dissimilarity_cost(S.Q),
-            float(h.max()) if h.size else 0.0, float(np.linalg.norm(mu)),
-        ))
+        h, objective, m = terms.violations(S.Q), terms.objective(S.Q), mu.ravel()
+        L = terms.lagrangian(S.Q, mu, objective, h)
+        trace.rows.append((n, L, objective, terms.expected_delay(S.Q),
+                           terms.dissimilarity_cost(S.Q), float(h.max()) if h.size else 0.0,
+                           math.sqrt(m.dot(m))))  # norm(mu), to the bit
         if abs(L - L_prev) <= cfg.delta:
             stop_reason = "converged"
             break

@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,12 +124,15 @@ class Scenario:
         return np.array([r.rate for r in self.requests], dtype=float)
 
     def source_mask(self) -> np.ndarray:
-        """Boolean |V| x |F| mask of permanently pinned (v, f) entries."""
-        mask = np.zeros((self.num_nodes, self.num_contents), dtype=bool)
-        for f, nodes in enumerate(self.sources):
-            for v in nodes:
-                mask[v, f] = True
-        return mask
+        """Read-only boolean |V| x |F| mask of permanently pinned (v, f) entries,
+        built once on first use, so that a bad source still reaches validation."""
+        if "_source_mask" not in self.__dict__:
+            mask = np.zeros((self.num_nodes, self.num_contents), dtype=bool)
+            for f, nodes in enumerate(self.sources):
+                mask[list(nodes), f] = True
+            mask.setflags(write=False)
+            object.__setattr__(self, "_source_mask", mask)  # frozen dataclass
+        return self._source_mask
 
     def __eq__(self, other):
         if not isinstance(other, Scenario):

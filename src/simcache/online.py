@@ -8,11 +8,11 @@ offline projected primal step and the dual update ``hibsa.dual_step``
 (slot index as the iteration counter), and re-rounds for the next slot.
 The dual update takes the mu-gradient at the iterate that served the slot,
 before the primal step, while the offline solver takes it at the fresh
-iterate.  The path terms of each new iterate and of its rounding are
-evaluated once and reused in the next slot.  By default both primal
-blocks, caching (eta_x) and delivery (eta_q), take the offline step size
-``SolverConfig.eta_s``.  Since an arrival count has expectation rate * T,
-the estimates are unbiased for the analytic gradients at the current state.
+iterate.  Path terms are evaluated once per new iterate and per new
+rounded caching.  By default both primal blocks, caching (eta_x) and
+delivery (eta_q), take the offline step size ``SolverConfig.eta_s``.
+Since an arrival count has expectation rate * T, the estimates are
+unbiased for the analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws.
@@ -117,19 +117,14 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
 
     for t in range(1, cfg.num_slots + 1):
         counts = streams.draw_counts(geom.rates, cfg.slot_length)
-        served = Q_int.argmax(axis=1)
-        triples = []
-        slot_delay = 0.0
-        slot_dissim = 0.0
-        for r in range(s.num_requests):
-            c = int(counts[r])
-            if c == 0:
-                continue
-            f_prime = int(served[r])
-            delay = float(int_terms.delays[r, f_prime])
-            dis = float(s.dissimilarity[geom.req_content[r], f_prime])
-            for _ in range(c):
-                triples.append((r, f_prime, delay, dis))
+        hit = np.flatnonzero(counts)  # requests with arrivals, in index order
+        served = Q_int[hit].argmax(axis=1)
+        triples, slot_delay, slot_dissim = [], 0.0, 0.0
+        for r, c, f_prime, delay, dis in zip(
+                hit.tolist(), counts[hit].tolist(), served.tolist(),
+                int_terms.delays[hit, served].tolist(),
+                s.dissimilarity[geom.req_content[hit], served].tolist()):
+            triples += [(r, f_prime, delay, dis)] * c
             slot_delay += c * delay
             slot_dissim += c * dis
 
@@ -138,10 +133,10 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
         terms = geom.evaluate(S.X)
 
-        X_new = round_caching(s, S.X)
-        churn = int(np.sum(X_new != X_int))
-        X_int = X_new
-        int_terms = geom.evaluate(X_int)
+        X_int, X_prev = round_caching(s, S.X), X_int
+        churn = int(np.count_nonzero(X_int != X_prev))
+        if churn:  # an unchanged rounded caching keeps its path terms
+            int_terms = geom.evaluate(X_int)
         Q_int = round_delivery(int_terms, S.Q)
 
         delay_hist.append(slot_delay)

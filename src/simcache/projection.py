@@ -53,33 +53,33 @@ def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
     Pinned entries read as -1 there, so they add nothing for theta >= 0,
     and are set to exactly 1.
     """
-    out = np.clip(X, 0.0, 1.0)
+    out = X.clip(0.0, 1.0)
     out[source_mask] = 1.0
     free = ~source_mask
     free_sum = np.where(free, out, 0.0).sum(axis=1)
     caps = capacities.astype(float)
     over = free_sum > caps
-    if not np.any(over):
+    if not over.any():
         return out
 
     Xo, fo, target = X[over], free[over], caps[over]
     F = X.shape[1]
     z = np.where(fo, Xo, -1.0)
     breaks = np.concatenate([z - 1.0, z], axis=1)
-    order = np.argsort(breaks, axis=1)
-    b = np.take_along_axis(breaks, order, axis=1)
+    order = breaks.argsort(axis=1)
+    rows = np.arange(len(breaks))
+    b = breaks[rows[:, None], order]
     # slope of g right of each breakpoint; at the first one every entry
     # reads 1, so g = F there
-    slope = np.cumsum(np.where(order < F, -1.0, 1.0), axis=1)
-    drop = slope[:, :-1] * np.diff(b, axis=1)
-    g = F + np.cumsum(np.concatenate([np.zeros((len(b), 1)), drop], axis=1), axis=1)
+    slope = np.where(order < F, -1.0, 1.0).cumsum(axis=1)
+    drop = slope[:, :-1] * (b[:, 1:] - b[:, :-1])
+    g = F + np.concatenate([np.zeros((len(b), 1)), drop], axis=1).cumsum(axis=1)
     # g is nonincreasing, so its entries >= target are a prefix; the root
     # lies right of the prefix's last breakpoint j.  The slope there is 0
     # only right of the last breakpoint, where g = 0 = target.
     j = (g >= target[:, None]).sum(axis=1) - 1
-    rows = np.arange(len(j))
     theta = b[rows, j] + (g[rows, j] - target) / np.maximum(-slope[rows, j], 1.0)
-    out[over] = np.where(fo, np.clip(Xo - theta[:, None], 0.0, 1.0), 1.0)
+    out[over] = np.where(fo, (Xo - theta[:, None]).clip(0.0, 1.0), 1.0)
     return out
 
 
@@ -87,9 +87,9 @@ def project_delivery_matrix(Q: np.ndarray) -> np.ndarray:
     """Row-wise simplex projection over all requests, vectorized
     (sort-and-threshold)."""
     u = np.sort(Q, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
+    css = u.cumsum(axis=1) - 1.0
     j = np.arange(1, Q.shape[1] + 1)[None, :]
     cond = u - css / j > 0
-    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
+    rho = cond.shape[1] - 1 - cond[:, ::-1].argmax(axis=1)
     theta = css[np.arange(Q.shape[0]), rho] / (rho + 1.0)
     return np.maximum(Q - theta[:, None], 0.0)

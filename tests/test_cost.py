@@ -72,18 +72,18 @@ class TestDeliveryDelay:
 class TestDeliveryCost:
     def test_requested_content_is_delay_only(self, line_scenario):
         X = np.zeros((3, 2))
-        assert PathGeometry(line_scenario).evaluate(X).costs()[0, 0] == pytest.approx(7.0)
+        assert PathGeometry(line_scenario).evaluate(X).costs[0, 0] == pytest.approx(7.0)
 
     def test_alpha_zero_equals_delay(self):
         s = make_line_scenario(alpha=0.0)
         X = np.zeros((3, 2))
         terms = PathGeometry(s).evaluate(X)
-        assert terms.costs()[0, 1] == terms.delays[0, 1]
+        assert terms.costs[0, 1] == terms.delays[0, 1]
 
     def test_weighted_dissimilarity(self):
         s = make_line_scenario(alpha=10.0)
         X = np.zeros((3, 2))
-        assert PathGeometry(s).evaluate(X).costs()[0, 1] == pytest.approx(7.0 + 10.0 * 1.0)
+        assert PathGeometry(s).evaluate(X).costs[0, 1] == pytest.approx(7.0 + 10.0 * 1.0)
 
 
 class TestObjective:

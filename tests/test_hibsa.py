@@ -273,6 +273,31 @@ class TestSolveOffline:
         assert last["lagrangian"] == geom.lagrangian(S, res.dual)
         assert last["objective"] == geom.evaluate(S.X).objective(S.Q)
 
+    @pytest.mark.parametrize("pin_delivery", [False, True])
+    def test_loop_equals_its_steps(self, pin_delivery):
+        # a hand loop that forms every product afresh, bit for bit as the
+        # solver, which shares them within an iterate
+        s = generate_scenario(GenConfig(seed=0, alpha=1.0))
+        cfg = SolverConfig(max_iters=40, pin_delivery=pin_delivery)
+        res = solve_offline(s, cfg)
+        geom = PathGeometry(s)
+        S = initial_state(s, cfg)
+        mu = np.zeros((s.num_requests, s.num_contents))
+        terms = geom.evaluate(S.X)
+        rows = []
+        for n in range(1, cfg.max_iters + 1):
+            S = primal_step(terms, S, mu, cfg)
+            terms = geom.evaluate(S.X)
+            mu = dual_step(mu, grad_mu(terms, S.Q), n, cfg.eta_mu)
+            rows.append((n, terms.lagrangian(S.Q, mu), terms.objective(S.Q),
+                         terms.expected_delay(S.Q), terms.dissimilarity_cost(S.Q),
+                         float(terms.violations(S.Q).max()), float(np.linalg.norm(mu))))
+        assert res.trace.stop_reason == "max_iters"
+        assert list(map(repr, res.trace.rows)) == list(map(repr, rows))
+        assert np.array_equal(res.fractional.X, S.X)
+        assert np.array_equal(res.fractional.Q, S.Q)
+        assert np.array_equal(res.dual, mu)
+
     def test_each_iterate_is_evaluated_once(self, default_scenario, evaluations):
         for n in (3, 7):
             evaluations.clear()

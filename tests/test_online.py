@@ -197,6 +197,14 @@ class TestRunOnline:
             # per slot: the new fractional iterate and its rounded caching
             assert len(evaluations) <= 2 * k + 2
 
+    def test_unchanged_rounded_caching_is_not_evaluated_again(self, default_scenario,
+                                                              evaluations):
+        res = run_online(default_scenario, OnlineConfig(num_slots=30, seed=0))
+        changed = sum(o.cache_churn > 0 for o in res.outcomes)
+        assert 0 < changed < 30
+        # the start and its rounding, each fractional iterate, each new rounding
+        assert len(evaluations) == 2 + 30 + changed
+
     def test_state_stays_feasible(self, small_scenario):
         s = small_scenario
         res = run_online(s, OnlineConfig(num_slots=60, seed=2))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import qp_cache_oracle, qp_simplex_oracle
+from simcache.model import Catalog, Network, Scenario
 from simcache.projection import (clamp_dual, project_cache_matrix,
                                  project_cache_row, project_delivery_matrix,
                                  project_delivery_row)
@@ -116,6 +117,34 @@ class TestCacheMatrix:
             if over.any():
                 worst = max(worst, np.abs(free_sum[over] - caps[over]).max())
         assert worst <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(cache_matrices(), st.data())
+    def test_pinned_inputs_are_ignored(self, case, data):
+        # the primal step relies on this: it hands over pinned x entries
+        # moved by their gradient instead of zeroing that gradient first
+        X, caps, pins = case
+        other = data.draw(arrays(float, X.shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+        moved = np.where(pins, other, X)
+        assert np.array_equal(project_cache_matrix(moved, caps, pins),
+                              project_cache_matrix(X, caps, pins))
+
+    def test_source_mask_is_read_only_and_matches_the_sources(self):
+        sources = (frozenset({0, 2}), frozenset({3}), frozenset({0, 1, 2, 3}))
+        s = Scenario(catalog=Catalog(3), network=Network(num_nodes=4, delays={}),
+                     sources=sources, requests=(), dissimilarity=np.zeros((3, 3)),
+                     capacities=np.ones(4, dtype=int), alpha=1.0)
+        ref = np.zeros((4, 3), dtype=bool)
+        for f, nodes in enumerate(sources):
+            for v in nodes:
+                ref[v, f] = True
+        mask = s.source_mask()
+        assert np.array_equal(mask, ref)
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[1, 0] = True
+        assert s.source_mask() is mask  # built once per scenario
 
 
 class TestDeliveryRow:
