@@ -16,6 +16,10 @@ unbiased for the analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws.
+
+A run stores only what changed: a slot whose rounding did not change
+records the previous slot's read-only arrays, and the served tuples are
+built once per rounded decision (see ``SlotOutcome``).
 """
 
 from __future__ import annotations
@@ -54,8 +58,13 @@ class OnlineConfig:
             raise ValueError("num_slots and delay_window must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotOutcome:
+    """One slot's record.  ``X_rounded`` and ``Q_rounded`` are read-only,
+    and are the previous slot's arrays when the rounding did not change;
+    the arrivals and slots served by one rounded decision share the tuples
+    in ``triples``."""
+
     slot: int
     triples: list  # (request index, delivered content, delay, dissimilarity)
     windowed_delay: float
@@ -66,17 +75,42 @@ class SlotOutcome:
     Q_rounded: np.ndarray
 
 
+# slots of arrivals drawn per request in one generator call
+BLOCK_SLOTS = 64
+
+
 class RequestStreams:
-    """Per-request RNG streams split from one seed by request index."""
+    """Per-request RNG streams split from one seed by request index.
+
+    Each stream draws ``BLOCK_SLOTS`` slots per generator call, which gives
+    the same counts as one draw per slot.  The streams are bound to the
+    rates and slot length of the first call; others raise ``ValueError``
+    rather than return counts drawn for the first.
+    """
 
     def __init__(self, seed: int, num_requests: int):
         root = np.random.SeedSequence(seed)
         self.generators = [np.random.default_rng(ss)
                            for ss in root.spawn(num_requests)]
+        self._drawn_for = None  # (rate bytes, T) of the first call
+        self._block = None  # (BLOCK_SLOTS, R) counts, read row by row
+        self._next = BLOCK_SLOTS
 
     def draw_counts(self, rates: np.ndarray, T: float) -> np.ndarray:
-        return np.array([g.poisson(lam * T)
-                         for g, lam in zip(self.generators, rates)], dtype=int)
+        rates = np.asarray(rates, dtype=float)
+        key = (rates.tobytes(), T)
+        if self._drawn_for is None:
+            self._drawn_for = key
+        elif key != self._drawn_for:
+            raise ValueError("the streams are drawing for other rates or another slot length")
+        if self._next == BLOCK_SLOTS:
+            cols = [g.poisson(lam * T, size=BLOCK_SLOTS)
+                    for g, lam in zip(self.generators, rates)]
+            self._block = np.array(cols, dtype=int).reshape(-1, BLOCK_SLOTS).T.copy()
+            self._next = 0
+        counts = self._block[self._next]
+        self._next += 1
+        return counts
 
 
 def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
@@ -90,6 +124,26 @@ def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
     """
     w = counts / T
     return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, Q, w)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _served_records(geom: PathGeometry, int_terms: PathTerms, Q_int: np.ndarray,
+                    previous=()) -> list:
+    """One (request, delivered content, delay, dissimilarity) tuple per
+    request under a rounded decision; a tuple equal to its entry in
+    ``previous`` is that entry, so a request whose record did not change
+    keeps one tuple across decisions."""
+    f = Q_int.argmax(axis=1)
+    rows = np.arange(len(f))
+    fresh = zip(range(len(f)), f.tolist(), int_terms.delays[rows, f].tolist(),
+                geom.d_rows[rows, f].tolist())
+    if not previous:
+        return list(fresh)
+    return [old if old == new else new for old, new in zip(previous, fresh)]
 
 
 @dataclass
@@ -107,9 +161,10 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     mu = np.zeros((s.num_requests, s.num_contents))
     streams = RequestStreams(cfg.seed, s.num_requests)
     terms = geom.evaluate(S.X)
-    X_int = round_caching(s, S.X)
+    X_int = _read_only(round_caching(s, S.X))
     int_terms = geom.evaluate(X_int)
-    Q_int = round_delivery(int_terms, S.Q)
+    Q_int = _read_only(round_delivery(int_terms, S.Q))
+    served = _served_records(geom, int_terms, Q_int)
 
     delay_hist: deque = deque(maxlen=cfg.delay_window)
     dissim_hist: deque = deque(maxlen=cfg.delay_window)
@@ -118,26 +173,29 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     for t in range(1, cfg.num_slots + 1):
         counts = streams.draw_counts(geom.rates, cfg.slot_length)
         hit = np.flatnonzero(counts)  # requests with arrivals, in index order
-        served = Q_int[hit].argmax(axis=1)
         triples, slot_delay, slot_dissim = [], 0.0, 0.0
-        for r, c, f_prime, delay, dis in zip(
-                hit.tolist(), counts[hit].tolist(), served.tolist(),
-                int_terms.delays[hit, served].tolist(),
-                s.dissimilarity[geom.req_content[hit], served].tolist()):
-            triples += [(r, f_prime, delay, dis)] * c
-            slot_delay += c * delay
-            slot_dissim += c * dis
+        for r, c in zip(hit.tolist(), counts[hit].tolist()):
+            rec = served[r]
+            triples += [rec] * c
+            slot_delay += c * rec[2]
+            slot_dissim += c * rec[3]
 
         gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length)
         S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
         terms = geom.evaluate(S.X)
 
-        X_int, X_prev = round_caching(s, S.X), X_int
-        churn = int(np.count_nonzero(X_int != X_prev))
-        if churn:  # an unchanged rounded caching keeps its path terms
+        X_new = round_caching(s, S.X)
+        churn = int(np.count_nonzero(X_new != X_int))
+        if churn:  # an unchanged rounded caching keeps its array and path terms
+            X_int = _read_only(X_new)
             int_terms = geom.evaluate(X_int)
-        Q_int = round_delivery(int_terms, S.Q)
+        Q_new = round_delivery(int_terms, S.Q)
+        Q_changed = (Q_new != Q_int).any()
+        if Q_changed:
+            Q_int = _read_only(Q_new)
+        if churn or Q_changed:
+            served = _served_records(geom, int_terms, Q_int, served)
 
         delay_hist.append(slot_delay)
         dissim_hist.append(slot_dissim)

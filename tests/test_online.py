@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from simcache.cost import PathGeometry
 from simcache.gradients import grad_mu, grad_q, grad_x
 from simcache.hibsa import (SolverConfig, dual_step, initial_state,
                             projected_primal_update, round_caching, round_delivery)
-from simcache.online import OnlineConfig, RequestStreams, run_online, stochastic_gradients
+from simcache.online import (BLOCK_SLOTS, OnlineConfig, RequestStreams, run_online,
+                             stochastic_gradients)
 
 from conftest import make_line_scenario
 from oracles import oracle_delay
@@ -55,6 +59,33 @@ class TestRequestStreams:
         for _ in range(10):
             assert np.array_equal(a.draw_counts(rates, 1.0),
                                   b.draw_counts(rates, 1.0))
+
+    def test_block_draws_equal_scalar_draws(self):
+        # rate * T covers zero, numpy's sampler below 10 and its sampler
+        # from 10 up; the run crosses several block boundaries
+        T = 2.5
+        rates = np.array([0.0, 0.3, 4.2, 9.99, 10.0, 37.5, 250.0]) / T
+        seed, n_slots = 11, 321
+        assert n_slots > 4 * BLOCK_SLOTS
+        streams = RequestStreams(seed, len(rates))
+        scalar = [np.random.default_rng(ss)
+                  for ss in np.random.SeedSequence(seed).spawn(len(rates))]
+        for _ in range(n_slots):
+            expected = [g.poisson(lam * T) for g, lam in zip(scalar, rates)]
+            assert streams.draw_counts(rates, T).tolist() == expected
+
+    def test_other_rates_or_slot_length_raise(self):
+        rates = np.array([0.5, 2.0])
+        streams = RequestStreams(3, 2)
+        streams.draw_counts(rates, 2.0)
+        with pytest.raises(ValueError):
+            streams.draw_counts(2 * rates, 2.0)
+        with pytest.raises(ValueError):
+            streams.draw_counts(rates, 1.0)
+        for _ in range(2 * BLOCK_SLOTS):  # also once the block is used up
+            streams.draw_counts(rates, 2.0)
+        with pytest.raises(ValueError):
+            streams.draw_counts(np.array([0.5, 2.5]), 2.0)
 
 
 class TestStochasticGradients:
@@ -204,6 +235,49 @@ class TestRunOnline:
         assert 0 < changed < 30
         # the start and its rounding, each fractional iterate, each new rounding
         assert len(evaluations) == 2 + 30 + changed
+
+    def test_unchanged_rounded_decisions_are_shared_read_only(self, default_scenario):
+        res = run_online(default_scenario, OnlineConfig(num_slots=200, seed=0))
+        out = res.outcomes
+        for prev, o, after in zip(out, out[1:], out[2:] + [None]):
+            assert (o.X_rounded is prev.X_rounded) == (o.cache_churn == 0)
+            same_q = np.array_equal(o.Q_rounded, prev.Q_rounded)
+            assert (o.Q_rounded is prev.Q_rounded) == same_q
+            if after is not None and o.cache_churn == 0 and same_q:
+                # the slot after o is served by the decision that served o
+                served = {t[0]: t for t in o.triples}
+                assert all(t is served[t[0]] for t in after.triples if t[0] in served)
+        shared = sum(o.cache_churn == 0 for o in res.outcomes)
+        assert 100 < shared < 200
+        arrays = {id(a): a for o in res.outcomes for a in (o.X_rounded, o.Q_rounded)}
+        arrays.update((id(a), a) for a in res.final_rounded)
+        for a in arrays.values():
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.5
+
+    def test_held_memory_is_the_slot_records(self, default_scenario):
+        # Fresh rounded arrays and served tuples in every slot would hold
+        # about 9.2 KB per slot.  What stays per slot is its record: one
+        # list reference per arrival (40 a slot here), the slot object and
+        # its three floats, about 570 bytes, plus the rounded caching of
+        # the slots with churn.
+        def held(num_slots):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                res = run_online(default_scenario, OnlineConfig(num_slots=num_slots))
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0], res
+            finally:
+                tracemalloc.stop()
+
+        run_online(default_scenario, OnlineConfig(num_slots=2))  # first-call costs
+        short, res = held(1000)
+        del res
+        long, res = held(3000)
+        assert len(res.outcomes) == 3000
+        assert short <= 2 * 2**20
+        assert (long - short) / 2000 < 800  # bytes per slot
 
     def test_state_stays_feasible(self, small_scenario):
         s = small_scenario
