@@ -1,4 +1,4 @@
-"""Analytic Lagrangian gradients and a finite-difference oracle.
+"""Analytic Lagrangian gradients.
 
 Every gradient reads the `PathTerms` of the current caching iterate, so
 none of them gathers or multiplies along the paths again.  dL/dx is the
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cost import PathGeometry, PathTerms, PrimalState
-from .model import Scenario
+from .cost import PathTerms
 
 
 def x_position_contributions(terms: PathTerms, Q: np.ndarray,
@@ -69,45 +68,3 @@ def grad_mu(terms: PathTerms, Q: np.ndarray,
     """|R| x |F| matrix of dL/dmu: the weighted violations q * prod(1 - x)."""
     w = terms.geom.rates if weights is None else weights
     return w[:, None] * terms.violations(Q)
-
-
-def fd_gradient(
-    s: Scenario,
-    S: PrimalState,
-    mu: np.ndarray,
-    which: str,
-    step: float = 1e-6,
-) -> np.ndarray:
-    """Central-difference gradient block of the Lagrangian.
-
-    Perturbed coordinates are clamped to their feasible interval ([0,1]
-    for x and q, [0, inf) for mu) and the divisor uses the realized
-    coordinate spread, so boundary states stay correct.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    blocks = {"x": S.X, "q": S.Q, "mu": mu}
-    if which not in blocks:
-        raise ValueError(f"unknown block {which!r}")
-    geom = PathGeometry(s)
-    hi = np.inf if which == "mu" else 1.0
-    base = blocks[which]
-    work = blocks[which] = base.copy()
-    out = np.zeros_like(base)
-
-    def evaluate() -> float:
-        return geom.lagrangian(PrimalState(blocks["x"], blocks["q"]), blocks["mu"])
-
-    it = np.nditer(base, flags=["multi_index"])
-    for val in it:
-        idx = it.multi_index
-        v = float(val)
-        up = min(v + step, hi)
-        dn = max(v - step, 0.0)
-        work[idx] = up
-        f_up = evaluate()
-        work[idx] = dn
-        f_dn = evaluate()
-        work[idx] = v
-        out[idx] = (f_up - f_dn) / (up - dn)
-    return out

@@ -15,21 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def project_cache_row(x: np.ndarray, capacity: int, pinned=()) -> np.ndarray:
-    """Project onto {y in [0,1]^F : sum of non-pinned y <= capacity}, with
-    pinned coordinates set to exactly 1 (one row of project_cache_matrix)."""
-    x = np.asarray(x, dtype=float)
-    pins = np.zeros((1, x.shape[0]), dtype=bool)
-    pins[0, list(pinned)] = True
-    return project_cache_matrix(x[None, :], np.array([capacity]), pins)[0]
-
-
-def project_delivery_row(q: np.ndarray) -> np.ndarray:
-    """Project onto the probability simplex {y >= 0, sum y = 1}
-    (one row of project_delivery_matrix)."""
-    return project_delivery_matrix(np.asarray(q, dtype=float)[None, :])[0]
-
-
 def clamp_dual(mu: np.ndarray) -> np.ndarray:
     """Elementwise (x)^+ = max(0, x)."""
     return np.maximum(mu, 0.0)

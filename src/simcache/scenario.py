@@ -4,7 +4,11 @@ dissimilarity) and the JSON file format.
 Generation draws, in fixed order from one seeded generator: edge delays
 (uniform on [1, 10]), one source node per content, the origin subset, and
 per-request (content, origin) pairs.  Paths are minimum-total-delay
-shortest paths with ties broken toward the smaller node sequence.
+shortest paths with ties broken toward the smaller node sequence.  They
+come from one search per distinct origin, which settles every source that
+origin's requests need.  Up to a node's first pop that search makes the
+same pops as a search for that node alone, so each path, its tie-break and
+its float length are those of a separate per-request search.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ class GenConfig:
             raise ValueError("num_origins must lie in [1, nodes_side^2]")
         if self.capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        if self.beta < 0 or self.rho < 0 or self.alpha < 0 or self.rate < 0:
-            raise ValueError("beta, rho, alpha, rate must be nonnegative")
+        if not all(0 <= x < np.inf for x in (self.beta, self.rho, self.alpha, self.rate)):
+            raise ValueError("beta, rho, alpha, rate must be finite and nonnegative")
 
 
 def grid_edges(side: int, torus: bool = False) -> list:
@@ -87,26 +91,45 @@ def zipf_probabilities(num_contents: int, rho: float) -> np.ndarray:
     return w / w.sum()
 
 
-def shortest_path(network: Network, src: int, dst: int) -> tuple:
-    """Minimum-total-delay path; equal-cost ties resolved by popping the
-    smaller node sequence first, so output is deterministic."""
-    if src == dst:
-        return (src,)
-    adj = network.adjacency()
+def neighbour_delays(network: Network) -> dict:
+    """{node: [(neighbour, hop delay), ...]} in ascending neighbour order."""
+    return {v: [(w, network.delay(v, w)) for w in ws]
+            for v, ws in network.adjacency().items()}
+
+
+def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
+    """{dst: minimum-total-delay path from src} for every node in dsts.
+
+    Dijkstra over (distance, path) heap entries that pops until every
+    destination is settled.  Equal-cost ties pop the smaller node sequence
+    first, so output is deterministic.  The pops up to a destination's
+    first one do not depend on the other destinations, so each path is
+    the one a search for that destination alone returns.
+    """
+    todo = set(dsts)
+    paths = {}
     done = set()
     heap = [(0.0, (src,))]
-    while heap:
+    while heap and todo:
         dist, path = heapq.heappop(heap)
         node = path[-1]
         if node in done:
             continue
         done.add(node)
-        if node == dst:
-            return path
-        for w in adj[node]:
+        if node in todo:
+            todo.remove(node)
+            paths[node] = path
+        for w, tau in neighbours[node]:
             if w not in done:
-                heapq.heappush(heap, (dist + network.delay(node, w), path + (w,)))
-    raise ValueError(f"no path from {src} to {dst}")
+                heapq.heappush(heap, (dist + tau, path + (w,)))
+    if todo:
+        raise ValueError(f"no path from {src} to {min(todo)}")
+    return paths
+
+
+def shortest_path(network: Network, src: int, dst: int) -> tuple:
+    """Minimum-total-delay path from src to dst (one shortest_paths search)."""
+    return shortest_paths(neighbour_delays(network), src, (dst,))[dst]
 
 
 def generate_scenario(g: GenConfig) -> Scenario:
@@ -123,19 +146,25 @@ def generate_scenario(g: GenConfig) -> Scenario:
     origins = sorted(int(v) for v in rng.choice(V, size=g.num_origins, replace=False))
 
     probs = zipf_probabilities(g.num_contents, g.rho)
-    requests = []
+    draws = []  # (content, origin, source node) per request
+    wanted: dict[int, set] = {}  # origin -> the source nodes its requests need
     for _ in range(g.num_requests):
         f = int(rng.choice(g.num_contents, p=probs))
         origin = int(origins[rng.integers(0, len(origins))])
         src_node = min(sources[f])
-        path = shortest_path(network, origin, src_node)
-        requests.append(Request(content=f, path=Path(path), rate=g.rate))
+        draws.append((f, origin, src_node))
+        wanted.setdefault(origin, set()).add(src_node)
+
+    neighbours = neighbour_delays(network)
+    paths = {origin: shortest_paths(neighbours, origin, dsts)
+             for origin, dsts in wanted.items()}
 
     return Scenario(
         catalog=Catalog(g.num_contents),
         network=network,
         sources=sources,
-        requests=tuple(requests),
+        requests=tuple(Request(content=f, path=Path(paths[origin][src_node]), rate=g.rate)
+                       for f, origin, src_node in draws),
         dissimilarity=power_law_dissimilarity(g.num_contents, g.beta),
         capacities=np.full(V, g.capacity, dtype=int),
         alpha=g.alpha,

@@ -2,12 +2,18 @@
 
 These deliberately avoid the package's vectorized evaluation paths: plain
 per-term loops over the math, plus exhaustive enumeration for tiny
-instances.  They must stay independent of the code they check.
+instances.  They must stay independent of the code they check.  The
+helpers at the end of the file are the exception: they call the package's
+Lagrangian and matrix projections, and only the tests use them.
 """
 
 from itertools import combinations, product
 
 import numpy as np
+
+from simcache.cost import PathGeometry, PrimalState
+from simcache.model import Scenario
+from simcache.projection import project_cache_matrix, project_delivery_matrix
 
 
 def oracle_delay(s, X, r, f_prime):
@@ -203,3 +209,65 @@ def qp_simplex_oracle(q):
         if d < best:
             best, best_y = d, y
     return best_y
+
+
+# -- test helpers over the package's own kernels --------------------------
+# Not independent oracles: central differences of the package's Lagrangian,
+# and one-row views of its matrix projections for the row-wise QP checks.
+
+
+def fd_gradient(
+    s: Scenario,
+    S: PrimalState,
+    mu: np.ndarray,
+    which: str,
+    step: float = 1e-6,
+) -> np.ndarray:
+    """Central-difference gradient block of the Lagrangian.
+
+    Perturbed coordinates are clamped to their feasible interval ([0,1]
+    for x and q, [0, inf) for mu) and the divisor uses the realized
+    coordinate spread, so boundary states stay correct.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    blocks = {"x": S.X, "q": S.Q, "mu": mu}
+    if which not in blocks:
+        raise ValueError(f"unknown block {which!r}")
+    geom = PathGeometry(s)
+    hi = np.inf if which == "mu" else 1.0
+    base = blocks[which]
+    work = blocks[which] = base.copy()
+    out = np.zeros_like(base)
+
+    def evaluate() -> float:
+        return geom.lagrangian(PrimalState(blocks["x"], blocks["q"]), blocks["mu"])
+
+    it = np.nditer(base, flags=["multi_index"])
+    for val in it:
+        idx = it.multi_index
+        v = float(val)
+        up = min(v + step, hi)
+        dn = max(v - step, 0.0)
+        work[idx] = up
+        f_up = evaluate()
+        work[idx] = dn
+        f_dn = evaluate()
+        work[idx] = v
+        out[idx] = (f_up - f_dn) / (up - dn)
+    return out
+
+
+def project_cache_row(x: np.ndarray, capacity: int, pinned=()) -> np.ndarray:
+    """Project onto {y in [0,1]^F : sum of non-pinned y <= capacity}, with
+    pinned coordinates set to exactly 1 (one row of project_cache_matrix)."""
+    x = np.asarray(x, dtype=float)
+    pins = np.zeros((1, x.shape[0]), dtype=bool)
+    pins[0, list(pinned)] = True
+    return project_cache_matrix(x[None, :], np.array([capacity]), pins)[0]
+
+
+def project_delivery_row(q: np.ndarray) -> np.ndarray:
+    """Project onto the probability simplex {y >= 0, sum y = 1}
+    (one row of project_delivery_matrix)."""
+    return project_delivery_matrix(np.asarray(q, dtype=float)[None, :])[0]

@@ -15,16 +15,16 @@ from simcache.baselines import (PerCacheConfig, run_per_cache_baseline,
                                 solve_adaptive_caching)
 from simcache.cli import main as cli_main
 from simcache.cost import PathGeometry, PrimalState
-from simcache.gradients import fd_gradient, grad_mu, grad_q, grad_x
+from simcache.gradients import grad_mu, grad_q, grad_x
 from simcache.hibsa import (SolverConfig, identity_delivery, initial_state,
                             round_caching, round_delivery, solve_offline)
 from simcache.online import OnlineConfig, RequestStreams, run_online, stochastic_gradients
-from simcache.projection import project_cache_row, project_delivery_row
 from simcache.scenario import (GenConfig, generate_scenario, with_alpha,
                                with_capacity)
 
 from conftest import make_tiny_scenario
-from oracles import enumerate_integer_optimum, qp_cache_oracle, qp_simplex_oracle
+from oracles import (enumerate_integer_optimum, fd_gradient, project_cache_row,
+                     project_delivery_row, qp_cache_oracle, qp_simplex_oracle)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -40,6 +40,15 @@ class TestGenerate:
                    "--out", str(tmp_path / "s.json")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("flag", [["--rho", "nan"], ["--beta", "inf"],
+                                      ["--alpha", "nan"]])
+    def test_rejects_nonfinite_options_before_writing(self, tmp_path, flag):
+        out = tmp_path / "s.json"
+        res = run(["generate", *GEN_FLAGS, *flag, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "finite" in res.output
+        assert not out.exists()
+
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["generate", *GEN_FLAGS, "--out", str(a)])

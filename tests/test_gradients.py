@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from simcache.cost import PathGeometry, PrimalState
-from simcache.gradients import (fd_gradient, grad_mu, grad_q, grad_x,
-                                x_position_contributions)
+from simcache.gradients import grad_mu, grad_q, grad_x, x_position_contributions
 from simcache.model import Catalog, Network, Path, Request, Scenario
 
 from conftest import make_line_scenario, random_box_state
-from oracles import oracle_delay, oracle_scatter_rows
+from oracles import fd_gradient, oracle_delay, oracle_scatter_rows
 
 
 def rel_err(a, b):

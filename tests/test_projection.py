@@ -4,11 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import qp_cache_oracle, qp_simplex_oracle
+from oracles import (project_cache_row, project_delivery_row, qp_cache_oracle,
+                     qp_simplex_oracle)
 from simcache.model import Catalog, Network, Scenario
-from simcache.projection import (clamp_dual, project_cache_matrix,
-                                 project_cache_row, project_delivery_matrix,
-                                 project_delivery_row)
+from simcache.projection import clamp_dual, project_cache_matrix, project_delivery_matrix
 
 finite_rows = arrays(
     np.float64, st.integers(min_value=1, max_value=8),

@@ -9,9 +9,10 @@ from scipy import stats
 
 from simcache.model import Network, validate_scenario
 from simcache.scenario import (GenConfig, ScenarioFormatError, generate_scenario,
-                               grid_edges, load_scenario, power_law_dissimilarity,
-                               save_scenario, shortest_path, with_alpha,
-                               with_capacity, zipf_probabilities)
+                               grid_edges, load_scenario, neighbour_delays,
+                               power_law_dissimilarity, save_scenario, shortest_path,
+                               shortest_paths, with_alpha, with_capacity,
+                               zipf_probabilities)
 
 
 class TestGenConfig:
@@ -19,7 +20,8 @@ class TestGenConfig:
         dict(nodes_side=0), dict(topology="ring"), dict(num_contents=0),
         dict(num_requests=0), dict(num_origins=0), dict(num_origins=26),
         dict(capacity=-1), dict(beta=-1.0), dict(rho=-0.5), dict(alpha=-1.0),
-        dict(rate=-1.0),
+        dict(rate=-1.0), dict(beta=np.inf), dict(rho=np.nan), dict(alpha=np.nan),
+        dict(alpha=np.inf), dict(rate=np.nan), dict(rate=np.inf),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -122,6 +124,37 @@ class TestShortestPath:
         net = Network(num_nodes=3, delays={(0, 1): 1.0})
         with pytest.raises(ValueError):
             shortest_path(net, 0, 2)
+        with pytest.raises(ValueError):
+            shortest_paths(neighbour_delays(net), 0, (1, 2))
+
+    def test_one_search_matches_exhaustive_enumeration(self):
+        # integer delays on 5-node graphs, so equal-cost ties are common
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            edges = [(v, v + 1) for v in range(4)]
+            edges += [(u, v) for u in range(5) for v in range(u + 2, 5)
+                      if rng.random() < 0.5]
+            net = Network(num_nodes=5, delays={
+                e: float(rng.integers(1, 4)) for e in edges})
+            src = int(rng.integers(0, 5))
+            got = shortest_paths(neighbour_delays(net), src, range(5))
+            assert sorted(got) == list(range(5))
+            assert got[src] == (src,)
+            for dst in range(5):
+                if dst != src:
+                    assert got[dst] == self.brute_force(net, src, dst)[1]
+
+    @pytest.mark.parametrize("kw", [
+        *(dict(seed=seed, topology=topology) for seed in range(5)
+          for topology in ("grid", "torus")),
+        dict(nodes_side=10, num_contents=100, num_requests=400, num_origins=40,
+             capacity=5),
+    ])
+    def test_generated_paths_equal_single_pair_searches(self, kw):
+        s = generate_scenario(GenConfig(**kw))
+        for r in s.requests:
+            origin, src_node = r.path.nodes[0], min(s.sources[r.content])
+            assert r.path.nodes == shortest_path(s.network, origin, src_node)
 
 
 class TestGenerateScenario:
