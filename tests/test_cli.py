@@ -176,6 +176,59 @@ class TestSolve:
         assert doc["options"]["seed"] == 7
 
 
+class TestManifest:
+    """The full ``options`` record of each writing command."""
+
+    @staticmethod
+    def manifest(args, out):
+        assert run([*args, "--out", str(out)]).exit_code == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        assert doc["version"] == "0.1.0"
+        return doc
+
+    def test_solve(self, tmp_path):
+        p = write_scenario(tmp_path)
+        doc = self.manifest(["solve", "--scenario", str(p), "--alpha", "5",
+                             "--eta-s", "0.002", "--max-iters", "200",
+                             "--seed", "7"], tmp_path / "run")
+        assert doc["command"] == "solve"
+        assert doc["options"] == {
+            "scenario": str(p), "alpha": 5.0, "baseline": None,
+            "eta_s": 0.002, "eta_mu": 1.0, "delta": 1e-6, "max_iters": 200,
+            "seed": 7,
+        }
+
+    @pytest.mark.parametrize("baseline", [None, "per-cache"])
+    def test_online(self, tmp_path, baseline):
+        p = write_scenario(tmp_path)
+        extra = ["--baseline", baseline] if baseline else []
+        doc = self.manifest(["online", "--scenario", str(p), "--slots", "12",
+                             "--seed", "3", "--insert-prob", "0.25",
+                             "--eta-q", "0.01", *extra], tmp_path / "run")
+        assert doc["command"] == "online"
+        assert doc["options"] == {
+            "scenario": str(p), "baseline": baseline, "slots": 12, "seed": 3,
+            "slot_length": 1.0, "eta_x": 1e-3, "eta_q": 0.01, "eta_mu": 1.0,
+            "insert_prob": 0.25, "offline_ref": False, "max_iters": 50000,
+        }
+
+    def test_sweep(self, tmp_path):
+        doc = self.manifest(["sweep", *GEN_FLAGS, "--param", "capacity",
+                             "--values", "1,2", "--seeds", "0",
+                             "--schemes", "similarity", "--delta", "1e-5",
+                             "--max-iters", "100"], tmp_path / "run")
+        assert doc["command"] == "sweep"
+        assert doc["options"] == {
+            "param": "capacity", "values": "1,2", "seeds": "0",
+            "schemes": "similarity",
+            "gen": {"nodes_side": 3, "topology": "grid", "num_contents": 4,
+                    "num_requests": 6, "num_origins": 4, "capacity": 1,
+                    "beta": 3.0, "rho": 1.2, "alpha": 10.0, "rate": 1.0},
+            "solver": {"eta_s": 1e-3, "eta_mu": 1.0, "delta": 1e-5,
+                       "max_iters": 100},
+        }
+
+
 class TestSweep:
     def test_grid_and_determinism(self, tmp_path):
         args = ["sweep", *GEN_FLAGS, "--param", "alpha", "--values", "1,10",
