@@ -42,8 +42,10 @@ class PerCacheConfig:
     def __post_init__(self):
         if not 0.0 <= self.insert_prob <= 1.0:
             raise ValueError("insert_prob must lie in [0, 1]")
-        if self.num_slots < 1 or self.slot_length <= 0 or self.delay_window < 1:
-            raise ValueError("num_slots, slot_length, delay_window must be positive")
+        if self.num_slots < 1 or self.delay_window < 1:
+            raise ValueError("num_slots and delay_window must be >= 1")
+        if not 0 < self.slot_length < np.inf:
+            raise ValueError("slot_length must be positive and finite")
 
 
 @dataclass

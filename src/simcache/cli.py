@@ -1,11 +1,14 @@
 """Command-line experiment harness.
 
-Commands: generate, validate, solve, sweep, online.  Every command writes
-CSV metrics plus a manifest.json capturing the full option set, so any
-output can be reproduced byte-for-byte from the manifest alone.  Exit
-codes: 0 success (including reported nonconvergence), 1 scenario
-violations (solve and online then solve nothing), 2 usage error, 3 I/O
-or parse error.
+Commands: generate, validate, solve, sweep, online.  solve, sweep and
+online write CSV metrics plus a manifest.json recording every option
+except --out (sweep also leaves out --workers and the --seed it ignores),
+so any output can be reproduced byte-for-byte from the manifest alone.
+Exit codes: 0 success (including reported nonconvergence); 1 scenario
+violations, among them those of a solve --alpha or sweep grid value
+(solve, sweep and online then solve and write nothing); 2 usage error,
+including an out-of-range or non-finite value of any other option,
+rejected before anything is written; 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields, replace
 from pathlib import Path as FsPath
 
 import click
@@ -44,11 +48,26 @@ def write_csv(path, header, rows) -> None:
             w.writerow([_fmt(x) for x in row])
 
 
-def write_manifest(out_dir, command: str, options: dict) -> None:
+def run_dir(out, command: str, options: dict) -> FsPath:
+    """Make the output directory and write its manifest.json, which records
+    ``options`` without ``out``."""
+    out_dir = FsPath(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    options = {k: v for k, v in options.items() if k != "out"}
     doc = {"command": command, "options": options, "version": __version__}
-    with open(FsPath(out_dir) / "manifest.json", "w") as fh:
+    with open(out_dir / "manifest.json", "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+    return out_dir
+
+
+def _config(cls, **options):
+    """``cls(**options)`` for a config dataclass; the ValueError of its own
+    checks becomes a usage error (exit 2)."""
+    try:
+        return cls(**options)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _load(path):
@@ -89,18 +108,17 @@ def solve_summary_row(s, scheme, cfg):
 SWEEP_COLUMNS = ("param", "value", "seed", "scheme", "expected_delay",
                  "dissimilarity_cost", "objective", "iterations", "stop_reason")
 
+# sweep parameter -> the instance at one grid value
+SWEEP_PARAMS = {
+    "alpha": with_alpha,
+    "capacity": lambda s, value: with_capacity(s, int(value)),
+}
 
-def sweep_point(param, value, seed, scheme, gen_kwargs, solver_kwargs):
+
+def sweep_point(param, value, seed, scheme, g: GenConfig, cfg: SolverConfig):
     """Solve one (parameter value, seed, scheme) grid point."""
-    g = GenConfig(seed=seed, **gen_kwargs)
-    s = generate_scenario(g)
-    if param == "alpha":
-        s = with_alpha(s, float(value))
-    elif param == "capacity":
-        s = with_capacity(s, int(value))
-    else:
-        raise ValueError(f"unknown sweep parameter {param!r}")
-    cfg = SolverConfig(pin_delivery=(scheme == "adaptive"), **solver_kwargs)
+    s = SWEEP_PARAMS[param](generate_scenario(replace(g, seed=seed)), value)
+    cfg = replace(cfg, pin_delivery=(scheme == "adaptive"))
     try:
         _, row = solve_summary_row(s, scheme, cfg)
         return (param, value, seed) + tuple(row[c] for c in SWEEP_COLUMNS[3:])
@@ -108,9 +126,9 @@ def sweep_point(param, value, seed, scheme, gen_kwargs, solver_kwargs):
         return (param, value, seed, scheme, None, None, None, 0, f"error: {exc}")
 
 
-def run_sweep(param, values, seeds, schemes, gen_kwargs, solver_kwargs, workers=1):
+def run_sweep(param, values, seeds, schemes, g, cfg, workers=1):
     """Full sweep grid; rows come back in deterministic sorted order."""
-    points = [(param, v, seed, scheme, gen_kwargs, solver_kwargs)
+    points = [(param, v, seed, scheme, g, cfg)
               for v in values for seed in seeds for scheme in schemes]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -131,18 +149,27 @@ def main():
     """Joint cache placement and similarity-based delivery optimizer."""
 
 
+# each flag names the GenConfig field it sets
 _gen_options = [
-    click.option("--nodes-side", default=5, show_default=True),
+    click.option("--nodes-side", "nodes_side", default=5, show_default=True),
     click.option("--topology", default="grid", type=click.Choice(["grid", "torus"]),
                  show_default=True),
-    click.option("--contents", default=10, show_default=True),
-    click.option("--requests", default=40, show_default=True),
-    click.option("--origins", default=12, show_default=True),
+    click.option("--contents", "num_contents", default=10, show_default=True),
+    click.option("--requests", "num_requests", default=40, show_default=True),
+    click.option("--origins", "num_origins", default=12, show_default=True),
     click.option("--capacity", default=2, show_default=True),
     click.option("--beta", default=3.0, show_default=True),
     click.option("--rho", default=1.2, show_default=True),
     click.option("--alpha", default=10.0, show_default=True),
     click.option("--seed", default=0, show_default=True),
+]
+
+# each flag names the SolverConfig field it sets
+_solver_options = [
+    click.option("--eta-s", default=1e-3, show_default=True),
+    click.option("--eta-mu", default=1.0, show_default=True),
+    click.option("--delta", default=1e-6, show_default=True),
+    click.option("--max-iters", default=50000, show_default=True),
 ]
 
 
@@ -154,26 +181,12 @@ def _apply(options):
     return deco
 
 
-def _gen_config(nodes_side, topology, contents, requests, origins, capacity,
-                beta, rho, alpha, seed) -> GenConfig:
-    try:
-        g = GenConfig(nodes_side=nodes_side, topology=topology,
-                      num_contents=contents, num_requests=requests,
-                      num_origins=origins, capacity=capacity, beta=beta,
-                      rho=rho, alpha=alpha, seed=seed)
-        g.validate()
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    return g
-
-
 @main.command()
 @_apply(_gen_options)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def generate(out, **kwargs):
+def generate(out, **gen_fields):
     """Generate a random scenario and write it to a file."""
-    g = _gen_config(**kwargs)
-    s = generate_scenario(g)
+    s = generate_scenario(_config(GenConfig, **gen_fields))
     save_scenario(s, out)
     click.echo(f"wrote {out}: |V|={s.num_nodes} |E|={len(s.network.delays)} "
                f"|F|={s.num_contents} |R|={s.num_requests}")
@@ -182,12 +195,10 @@ def generate(out, **kwargs):
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-def validate(scenario_path):
+@click.option("--scenario", required=True, type=click.Path(exists=True, dir_okay=False))
+def validate(scenario):
     """Check every instance invariant of a scenario file."""
-    s = _load(scenario_path)
-    violations = validate_scenario(s)
+    violations = validate_scenario(_load(scenario))
     if violations:
         for v in violations:
             click.echo(str(v))
@@ -196,33 +207,26 @@ def validate(scenario_path):
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@click.option("--scenario", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--alpha", default=None, type=float,
               help="Override the scenario's dissimilarity weight.")
 @click.option("--baseline", default=None, type=click.Choice(["adaptive"]))
-@click.option("--eta-s", default=1e-3, show_default=True)
-@click.option("--eta-mu", default=1.0, show_default=True)
-@click.option("--delta", default=1e-6, show_default=True)
-@click.option("--max-iters", default=50000, show_default=True)
+@_apply(_solver_options)
 @click.option("--seed", default=0, show_default=True,
               help="Recorded in manifest.json; the offline start is "
                    "deterministic, so the seed does not change the run.")
-def solve(scenario_path, out, alpha, baseline, eta_s, eta_mu, delta,
-          max_iters, seed):
+def solve(scenario, out, alpha, baseline, seed, **solver):
     """Run the offline solver; write trace, solution, and summary."""
-    s = _load(scenario_path)
+    cfg = _config(SolverConfig, pin_delivery=(baseline == "adaptive"), **solver)
+    s = _load(scenario)
     if alpha is not None:
         s = with_alpha(s, alpha)
     _exit_on_violations(s)
     scheme = baseline or "similarity"
-    cfg = SolverConfig(eta_s=eta_s, eta_mu=eta_mu, delta=delta,
-                       max_iters=max_iters, pin_delivery=(baseline == "adaptive"))
     res, summary = solve_summary_row(s, scheme, cfg)
 
-    out_dir = FsPath(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = run_dir(out, "solve", click.get_current_context().params)
     write_csv(out_dir / "trace.csv", TRACE_COLUMNS, res.trace.rows)
     with open(out_dir / "solution.json", "w") as fh:
         json.dump({
@@ -234,11 +238,6 @@ def solve(scenario_path, out, alpha, baseline, eta_s, eta_mu, delta,
         }, fh, indent=1)
         fh.write("\n")
     write_csv(out_dir / "summary.csv", list(summary), [list(summary.values())])
-    write_manifest(out_dir, "solve", {
-        "scenario": str(scenario_path), "alpha": alpha, "baseline": baseline,
-        "eta_s": eta_s, "eta_mu": eta_mu, "delta": delta,
-        "max_iters": max_iters, "seed": seed,
-    })
     click.echo(f"{scheme}: objective={summary['objective']:.6g} "
                f"delay={summary['expected_delay']:.6g} "
                f"dissimilarity={summary['dissimilarity_cost']:.6g} "
@@ -247,20 +246,16 @@ def solve(scenario_path, out, alpha, baseline, eta_s, eta_mu, delta,
 
 @main.command()
 @_apply(_gen_options)
-@click.option("--param", default="alpha", type=click.Choice(["alpha", "capacity"]),
+@click.option("--param", default="alpha", type=click.Choice(list(SWEEP_PARAMS)),
               show_default=True)
 @click.option("--values", required=True,
               help="Comma-separated grid values, e.g. 0.1,1,10,100.")
 @click.option("--seeds", default="0,1,2,3,4", show_default=True)
 @click.option("--schemes", default="similarity,adaptive", show_default=True)
-@click.option("--eta-s", default=1e-3, show_default=True)
-@click.option("--eta-mu", default=1.0, show_default=True)
-@click.option("--delta", default=1e-6, show_default=True)
-@click.option("--max-iters", default=50000, show_default=True)
+@_apply(_solver_options)
 @click.option("--workers", default=1, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-def sweep(param, values, seeds, schemes, eta_s, eta_mu, delta, max_iters,
-          workers, out, **gen_flags):
+def sweep(param, values, seeds, schemes, workers, out, **flags):
     """Sweep alpha or capacity over a grid of values and seeds."""
     try:
         value_list = [float(v) for v in values.split(",") if v]
@@ -271,25 +266,28 @@ def sweep(param, values, seeds, schemes, eta_s, eta_mu, delta, max_iters,
                 raise ValueError(f"unknown scheme {sch!r}")
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    g = _gen_config(**gen_flags)
-    gen_kwargs = {k: v for k, v in vars(g).items() if k != "seed"}
-    solver_kwargs = {"eta_s": eta_s, "eta_mu": eta_mu, "delta": delta,
-                     "max_iters": max_iters}
-    rows = run_sweep(param, value_list, seed_list, scheme_list,
-                     gen_kwargs, solver_kwargs, workers=workers)
-    out_dir = FsPath(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
-    write_manifest(out_dir, "sweep", {
+    solver = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
+    cfg = _config(SolverConfig, **solver)
+    g = _config(GenConfig, **flags)
+    for seed in seed_list[:1]:  # a grid value that breaks one instance breaks all
+        s = generate_scenario(replace(g, seed=seed))
+        for v in value_list:
+            try:
+                derived = SWEEP_PARAMS[param](s, v)
+            except (ValueError, OverflowError) as exc:  # int() of nan or inf
+                raise click.UsageError(f"{param} value {v}: {exc}")
+            _exit_on_violations(derived)
+    rows = run_sweep(param, value_list, seed_list, scheme_list, g, cfg, workers=workers)
+    out_dir = run_dir(out, "sweep", {
         "param": param, "values": values, "seeds": seeds, "schemes": schemes,
-        "gen": gen_kwargs, "solver": solver_kwargs,
+        "gen": {k: v for k, v in vars(g).items() if k != "seed"}, "solver": solver,
     })
+    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     click.echo(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} rows)")
 
 
 @main.command()
-@click.option("--scenario", "scenario_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+@click.option("--scenario", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--baseline", default=None, type=click.Choice(["per-cache"]))
 @click.option("--slots", default=1000, show_default=True)
@@ -304,43 +302,32 @@ def sweep(param, values, seeds, schemes, eta_s, eta_mu, delta, max_iters,
               help="Also solve offline and record its delay as a column.")
 @click.option("--max-iters", default=50000, show_default=True,
               help="Iteration budget of the offline reference solve.")
-def online(scenario_path, out, baseline, slots, seed, slot_length, eta_x,
-           eta_q, eta_mu, insert_prob, offline_ref, max_iters):
+def online(scenario, out, baseline, slots, seed, slot_length, eta_x, eta_q,
+           eta_mu, insert_prob, offline_ref, max_iters):
     """Run the online scheme (or the per-cache baseline); write a slot log."""
-    s = _load(scenario_path)
+    online_cfg = _config(OnlineConfig, slot_length=slot_length, eta_x=eta_x,
+                         eta_q=eta_q, eta_mu=eta_mu, num_slots=slots, seed=seed)
+    per_cache_cfg = _config(PerCacheConfig, insert_prob=insert_prob, num_slots=slots,
+                            seed=seed, slot_length=slot_length)
+    ref_cfg = _config(SolverConfig, max_iters=max_iters)
+    s = _load(scenario)
     _exit_on_violations(s)
     offline_delay = None
     if offline_ref:
-        ref = solve_offline(s, SolverConfig(max_iters=max_iters))
-        offline_delay = ref.rounded.expected_delay
+        offline_delay = solve_offline(s, ref_cfg).rounded.expected_delay
 
-    rows = []
     if baseline == "per-cache":
-        res = run_per_cache_baseline(s, PerCacheConfig(
-            insert_prob=insert_prob, num_slots=slots, seed=seed,
-            slot_length=slot_length))
-        for rec in res.slots:
-            rows.append((rec.slot, rec.num_requests, rec.windowed_delay,
-                         rec.windowed_dissimilarity, None, rec.cache_churn,
-                         offline_delay))
+        rows = [(rec.slot, rec.num_requests, rec.windowed_delay,
+                 rec.windowed_dissimilarity, None, rec.cache_churn, offline_delay)
+                for rec in run_per_cache_baseline(s, per_cache_cfg).slots]
     else:
-        res = run_online(s, OnlineConfig(
-            slot_length=slot_length, eta_x=eta_x, eta_q=eta_q, eta_mu=eta_mu,
-            num_slots=slots, seed=seed))
-        for rec in res.outcomes:
-            rows.append((rec.slot, len(rec.triples), rec.windowed_delay,
-                         rec.windowed_dissimilarity, rec.lagrangian,
-                         rec.cache_churn, offline_delay))
+        rows = [(rec.slot, len(rec.triples), rec.windowed_delay,
+                 rec.windowed_dissimilarity, rec.lagrangian, rec.cache_churn,
+                 offline_delay)
+                for rec in run_online(s, online_cfg).outcomes]
 
-    out_dir = FsPath(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = run_dir(out, "online", click.get_current_context().params)
     write_csv(out_dir / "slots.csv", SLOT_COLUMNS, rows)
-    write_manifest(out_dir, "online", {
-        "scenario": str(scenario_path), "baseline": baseline, "slots": slots,
-        "seed": seed, "slot_length": slot_length, "eta_x": eta_x,
-        "eta_q": eta_q, "eta_mu": eta_mu, "insert_prob": insert_prob,
-        "offline_ref": offline_ref, "max_iters": max_iters,
-    })
     tail = rows[-1]
     click.echo(f"wrote {out_dir / 'slots.csv'}; final windowed delay {tail[2]:.6g}")
 

@@ -29,8 +29,8 @@ class SolverConfig:
     pin_delivery: bool = False  # adaptive-caching mode: Q fixed at identity
 
     def __post_init__(self):
-        if self.eta_s <= 0 or self.eta_mu <= 0 or self.delta <= 0:
-            raise ValueError("step sizes and delta must be positive")
+        if not all(0 < x < math.inf for x in (self.eta_s, self.eta_mu, self.delta)):
+            raise ValueError("step sizes and delta must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

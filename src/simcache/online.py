@@ -50,10 +50,9 @@ class OnlineConfig:
     delay_window: int = 10
 
     def __post_init__(self):
-        if self.slot_length <= 0:
-            raise ValueError("slot_length must be positive")
-        if min(self.eta_x, self.eta_q, self.eta_mu) <= 0:
-            raise ValueError("step sizes must be positive")
+        if not all(0 < x < np.inf for x in (self.slot_length, self.eta_x,
+                                            self.eta_q, self.eta_mu)):
+            raise ValueError("slot_length and step sizes must be positive and finite")
         if self.num_slots < 1 or self.delay_window < 1:
             raise ValueError("num_slots and delay_window must be >= 1")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,9 @@ class GenConfig:
     alpha: float = 10.0
     rate: float = 1.0
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.nodes_side < 1:
@@ -134,7 +137,6 @@ def shortest_path(network: Network, src: int, dst: int) -> tuple:
 
 def generate_scenario(g: GenConfig) -> Scenario:
     """Build a random instance following the experimental setup defaults."""
-    g.validate()
     rng = np.random.default_rng(g.seed)
     V = g.nodes_side ** 2
     edges = grid_edges(g.nodes_side, torus=(g.topology == "torus"))
@@ -173,15 +175,12 @@ def generate_scenario(g: GenConfig) -> Scenario:
 
 def with_alpha(s: Scenario, alpha: float) -> Scenario:
     """Same instance with a different dissimilarity weight."""
-    return Scenario(s.catalog, s.network, s.sources, s.requests,
-                    s.dissimilarity.copy(), s.capacities.copy(), alpha)
+    return replace(s, alpha=alpha)
 
 
 def with_capacity(s: Scenario, capacity: int) -> Scenario:
     """Same instance with a uniform cache capacity at every node."""
-    caps = np.full(s.num_nodes, capacity, dtype=int)
-    return Scenario(s.catalog, s.network, s.sources, s.requests,
-                    s.dissimilarity.copy(), caps, s.alpha)
+    return replace(s, capacities=np.full(s.num_nodes, capacity, dtype=int))
 
 
 # -- file format ---------------------------------------------------------

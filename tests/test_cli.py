@@ -121,6 +121,29 @@ class TestNonfiniteScenario:
         assert not out.exists()
 
 
+class TestOptionErrors:
+    """An out-of-range or non-finite option is a usage error, reported
+    before anything is written."""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--eta-s", "0"],
+        ["solve", "--eta-s", "nan"],
+        ["online", "--slots", "0"],
+        ["online", "--baseline", "per-cache", "--insert-prob", "2"],
+        ["online", "--slot-length", "inf"],
+        ["online", "--eta-x", "nan"],
+    ])
+    def test_exits_2_without_writing(self, tmp_path, args):
+        p = write_scenario(tmp_path)
+        out = tmp_path / "run"
+        command, *flags = args
+        res = run([command, "--scenario", str(p), *flags, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert "must" in res.output
+        assert not out.exists()
+
+
 class TestSolve:
     def test_writes_artifacts(self, tmp_path):
         p = write_scenario(tmp_path)
@@ -268,6 +291,34 @@ class TestSweep:
         res = run(["sweep", "--values", "1,abc",
                    "--out", str(tmp_path / "x")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("grid,code", [
+        (["--values", "nan"], "NonfiniteAlpha"),
+        (["--param", "capacity", "--values", "-1"], "NegativeCapacity"),
+    ])
+    def test_rejects_grid_value_that_breaks_the_instance(self, tmp_path, grid, code):
+        out = tmp_path / "x"
+        res = run(["sweep", *GEN_FLAGS, *grid, "--seeds", "0", "--max-iters", "50",
+                   "--out", str(out)])
+        assert res.exit_code == 1
+        assert f"violation: {code}" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rejects_capacity_that_is_no_integer(self, tmp_path, value):
+        out = tmp_path / "x"
+        res = run(["sweep", *GEN_FLAGS, "--param", "capacity", "--values", value,
+                   "--seeds", "0", "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
+    def test_process_pool_matches_serial(self, tmp_path):
+        args = ["sweep", *GEN_FLAGS, "--param", "capacity", "--values", "0,1",
+                "--seeds", "0,1", "--max-iters", "150"]
+        a, b = tmp_path / "serial", tmp_path / "pool"
+        assert run([*args, "--workers", "1", "--out", str(a)]).exit_code == 0
+        assert run([*args, "--workers", "2", "--out", str(b)]).exit_code == 0
+        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
 
 class TestOnline:

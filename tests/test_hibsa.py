@@ -33,7 +33,10 @@ class TestConfig:
         assert cfg.delta == 1e-6 and cfg.max_iters == 50_000
 
     @pytest.mark.parametrize("kw", [dict(eta_s=0.0), dict(eta_mu=-1.0),
-                                    dict(delta=0.0), dict(max_iters=0)])
+                                    dict(delta=0.0), dict(max_iters=0),
+                                    dict(eta_s=np.nan), dict(eta_s=np.inf),
+                                    dict(eta_mu=np.nan), dict(eta_mu=np.inf),
+                                    dict(delta=np.nan), dict(delta=np.inf)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)

@@ -24,7 +24,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [dict(slot_length=0.0), dict(eta_x=-1.0),
                                     dict(eta_q=0.0), dict(num_slots=0),
-                                    dict(delay_window=0)])
+                                    dict(delay_window=0), dict(slot_length=np.inf),
+                                    dict(slot_length=np.nan), dict(eta_x=np.nan),
+                                    dict(eta_q=np.inf), dict(eta_mu=np.nan),
+                                    dict(eta_mu=np.inf)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             OnlineConfig(**kw)
