@@ -88,7 +88,7 @@ def run_per_cache_baseline(s: Scenario, cfg: PerCacheConfig) -> PerCacheResult:
     the cache is full.
     """
     geom = PathGeometry(s)
-    streams = RequestStreams(cfg.seed, s.num_requests)
+    streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
     insert_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed).spawn(s.num_requests + 1)[-1])
 
@@ -103,7 +103,7 @@ def run_per_cache_baseline(s: Scenario, cfg: PerCacheConfig) -> PerCacheResult:
     slots: list[PerCacheSlot] = []
 
     for t in range(1, cfg.num_slots + 1):
-        counts = streams.draw_counts(geom.rates, cfg.slot_length)
+        counts = streams.draw_counts()
         slot_delay = 0.0
         slot_dissim = 0.0
         churn = 0

@@ -5,10 +5,11 @@ online write CSV metrics plus a manifest.json recording every option
 except --out (sweep also leaves out --workers and the --seed it ignores),
 so any output can be reproduced byte-for-byte from the manifest alone.
 Exit codes: 0 success (including reported nonconvergence); 1 scenario
-violations, among them those of a solve --alpha or sweep grid value
-(solve, sweep and online then solve and write nothing); 2 usage error,
-including an out-of-range or non-finite value of any other option,
-rejected before anything is written; 3 I/O or parse error.
+violations, among them those of a solve --alpha or any sweep grid instance,
+all checked before anything is solved or written; 2 usage error, including
+an out-of-range or non-finite value of any other option, a sweep capacity
+that is no int64 whole number or an empty sweep grid, rejected before
+anything is written; 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
+from itertools import repeat
 from pathlib import Path as FsPath
 
 import click
@@ -115,28 +117,14 @@ SWEEP_PARAMS = {
 }
 
 
-def sweep_point(param, value, seed, scheme, g: GenConfig, cfg: SolverConfig):
-    """Solve one (parameter value, seed, scheme) grid point."""
-    s = SWEEP_PARAMS[param](generate_scenario(replace(g, seed=seed)), value)
+def sweep_point(s, scheme, cfg: SolverConfig):
+    """Solve one grid instance under one scheme; the row from its scheme on."""
     cfg = replace(cfg, pin_delivery=(scheme == "adaptive"))
     try:
         _, row = solve_summary_row(s, scheme, cfg)
-        return (param, value, seed) + tuple(row[c] for c in SWEEP_COLUMNS[3:])
+        return tuple(row[c] for c in SWEEP_COLUMNS[3:])
     except Exception as exc:  # partial failure recorded per row
-        return (param, value, seed, scheme, None, None, None, 0, f"error: {exc}")
-
-
-def run_sweep(param, values, seeds, schemes, g, cfg, workers=1):
-    """Full sweep grid; rows come back in deterministic sorted order."""
-    points = [(param, v, seed, scheme, g, cfg)
-              for v in values for seed in seeds for scheme in schemes]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(sweep_point, *zip(*points)))
-    else:
-        rows = [sweep_point(*p) for p in points]
-    rows.sort(key=lambda r: (str(r[0]), float(r[1]), int(r[2]), str(r[3])))
-    return rows
+        return (scheme, None, None, None, 0, f"error: {exc}")
 
 
 SLOT_COLUMNS = ("t", "num_requests", "avg_delay_window", "dissimilarity_window",
@@ -229,13 +217,8 @@ def solve(scenario, out, alpha, baseline, seed, **solver):
     out_dir = run_dir(out, "solve", click.get_current_context().params)
     write_csv(out_dir / "trace.csv", TRACE_COLUMNS, res.trace.rows)
     with open(out_dir / "solution.json", "w") as fh:
-        json.dump({
-            "X": res.rounded.X.astype(int).tolist(),
-            "Q": res.rounded.Q.astype(int).tolist(),
-            "objective": res.rounded.objective,
-            "expected_delay": res.rounded.expected_delay,
-            "dissimilarity_cost": res.rounded.dissimilarity_cost,
-        }, fh, indent=1)
+        json.dump({**vars(res.rounded), "X": res.rounded.X.astype(int).tolist(),
+                   "Q": res.rounded.Q.astype(int).tolist()}, fh, indent=1)
         fh.write("\n")
     write_csv(out_dir / "summary.csv", list(summary), [list(summary.values())])
     click.echo(f"{scheme}: objective={summary['objective']:.6g} "
@@ -261,23 +244,33 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
         value_list = [float(v) for v in values.split(",") if v]
         seed_list = [int(v) for v in seeds.split(",") if v]
         scheme_list = [v.strip() for v in schemes.split(",") if v]
+        if not (value_list and seed_list and scheme_list):
+            raise ValueError("--values, --seeds and --schemes must each name one entry")
         for sch in scheme_list:
             if sch not in ("similarity", "adaptive"):
                 raise ValueError(f"unknown scheme {sch!r}")
+        if param == "capacity" and not all(v.is_integer() and abs(v) < 2**63 for v in value_list):
+            raise ValueError("capacity values must be whole numbers that fit in int64")
     except ValueError as exc:
         raise click.UsageError(str(exc))
     solver = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
     cfg = _config(SolverConfig, **solver)
     g = _config(GenConfig, **flags)
-    for seed in seed_list[:1]:  # a grid value that breaks one instance breaks all
-        s = generate_scenario(replace(g, seed=seed))
-        for v in value_list:
-            try:
-                derived = SWEEP_PARAMS[param](s, v)
-            except (ValueError, OverflowError) as exc:  # int() of nan or inf
-                raise click.UsageError(f"{param} value {v}: {exc}")
-            _exit_on_violations(derived)
-    rows = run_sweep(param, value_list, seed_list, scheme_list, g, cfg, workers=workers)
+    instances = {seed: generate_scenario(replace(g, seed=seed)) for seed in set(seed_list)}
+    heads, points = [], []  # (param, value, seed) and (instance, scheme) per row
+    for v in value_list:
+        for seed in seed_list:
+            s = SWEEP_PARAMS[param](instances[seed], v)
+            _exit_on_violations(s)
+            heads += [(param, v, seed)] * len(scheme_list)
+            points += [(s, scheme) for scheme in scheme_list]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            tails = list(pool.map(sweep_point, *zip(*points), repeat(cfg)))
+    else:
+        tails = [sweep_point(s, scheme, cfg) for s, scheme in points]
+    rows = sorted((h + r for h, r in zip(heads, tails)),
+                  key=lambda r: (str(r[0]), float(r[1]), int(r[2]), str(r[3])))
     out_dir = run_dir(out, "sweep", {
         "param": param, "values": values, "seeds": seeds, "schemes": schemes,
         "gen": {k: v for k, v in vars(g).items() if k != "seed"}, "solver": solver,

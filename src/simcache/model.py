@@ -9,7 +9,7 @@ threads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,25 +42,25 @@ class Network:
     def delay(self, u: int, v: int) -> float:
         return self.delays[edge_key(u, v)]
 
-    def adjacency(self) -> dict:
-        """Neighbor map {node: sorted list of neighbors}."""
-        adj: dict[int, list[int]] = {v: [] for v in range(self.num_nodes)}
-        for (u, v) in self.delays:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in adj:
-            adj[v].sort()
-        return adj
+    def neighbours(self) -> dict:
+        """{node: [(neighbour, delay), ...]} in ascending neighbour order."""
+        nbrs: dict[int, list] = {v: [] for v in range(self.num_nodes)}
+        for (u, v), tau in self.delays.items():
+            nbrs[u].append((v, tau))
+            nbrs[v].append((u, tau))
+        for v in nbrs:
+            nbrs[v].sort()
+        return nbrs
 
     def is_connected(self) -> bool:
         if self.num_nodes == 0:
             return False
-        adj = self.adjacency()
+        nbrs = self.neighbours()
         seen = {0}
         queue = deque([0])
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
+            for w, _ in nbrs[u]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
@@ -134,6 +134,9 @@ class Scenario:
             object.__setattr__(self, "_source_mask", mask)  # frozen dataclass
         return self._source_mask
 
+    def __reduce__(self):  # rebuilt through __init__, so a copy is read-only too
+        return Scenario, tuple(getattr(self, f.name) for f in fields(self))
+
     def __eq__(self, other):
         if not isinstance(other, Scenario):
             return NotImplemented
@@ -170,14 +173,16 @@ def validate_scenario(s: Scenario) -> list:
     if V < 1:
         out.append(Violation("EmptyNetwork", "network has no nodes"))
 
+    stray = False  # an undeclared endpoint leaves connectivity undefined
     for (u, v), tau in s.network.delays.items():
         if not (0 <= u < V and 0 <= v < V):
+            stray = True
             out.append(Violation("EdgeEndpointUnknown", f"edge ({u},{v}) has undeclared endpoint"))
         if not np.isfinite(tau):
             out.append(Violation("NonfiniteEdgeDelay", f"edge ({u},{v}) has delay {tau}"))
         elif not tau > 0:
             out.append(Violation("NonpositiveEdgeDelay", f"edge ({u},{v}) has delay {tau}"))
-    if V >= 1 and not s.network.is_connected():
+    if V >= 1 and not stray and not s.network.is_connected():
         out.append(Violation("DisconnectedNetwork", "graph is not connected"))
 
     if len(s.sources) != F:
@@ -202,7 +207,7 @@ def validate_scenario(s: Scenario) -> list:
         for a, b in zip(p, p[1:]):
             if not s.network.has_edge(a, b):
                 out.append(Violation("PathEdgeMissing", f"request {i} hop ({a},{b}) not an edge"))
-        if p[-1] not in s.sources[r.content]:
+        if r.content < len(s.sources) and p[-1] not in s.sources[r.content]:
             out.append(Violation("TerminalNotSource",
                                  f"request {i} path ends at {p[-1]}, not a source of {r.content}"))
         if not np.isfinite(r.rate):

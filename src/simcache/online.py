@@ -79,32 +79,24 @@ BLOCK_SLOTS = 64
 
 
 class RequestStreams:
-    """Per-request RNG streams split from one seed by request index.
+    """Per-request Poisson(rate * T) streams split from one seed by request.
 
     Each stream draws ``BLOCK_SLOTS`` slots per generator call, which gives
-    the same counts as one draw per slot.  The streams are bound to the
-    rates and slot length of the first call; others raise ``ValueError``
-    rather than return counts drawn for the first.
+    the same counts as one draw per slot.
     """
 
-    def __init__(self, seed: int, num_requests: int):
+    def __init__(self, seed: int, rates: np.ndarray, T: float):
+        self.means = np.asarray(rates, dtype=float) * T
         root = np.random.SeedSequence(seed)
         self.generators = [np.random.default_rng(ss)
-                           for ss in root.spawn(num_requests)]
-        self._drawn_for = None  # (rate bytes, T) of the first call
+                           for ss in root.spawn(len(self.means))]
         self._block = None  # (BLOCK_SLOTS, R) counts, read row by row
         self._next = BLOCK_SLOTS
 
-    def draw_counts(self, rates: np.ndarray, T: float) -> np.ndarray:
-        rates = np.asarray(rates, dtype=float)
-        key = (rates.tobytes(), T)
-        if self._drawn_for is None:
-            self._drawn_for = key
-        elif key != self._drawn_for:
-            raise ValueError("the streams are drawing for other rates or another slot length")
+    def draw_counts(self) -> np.ndarray:
         if self._next == BLOCK_SLOTS:
-            cols = [g.poisson(lam * T, size=BLOCK_SLOTS)
-                    for g, lam in zip(self.generators, rates)]
+            cols = [g.poisson(lam, size=BLOCK_SLOTS)
+                    for g, lam in zip(self.generators, self.means)]
             self._block = np.array(cols, dtype=int).reshape(-1, BLOCK_SLOTS).T.copy()
             self._next = 0
         counts = self._block[self._next]
@@ -158,7 +150,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     geom = PathGeometry(s)
     S = initial_state(s, SolverConfig())
     mu = np.zeros((s.num_requests, s.num_contents))
-    streams = RequestStreams(cfg.seed, s.num_requests)
+    streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
     terms = geom.evaluate(S.X)
     X_int = _read_only(round_caching(s, S.X))
     int_terms = geom.evaluate(X_int)
@@ -170,7 +162,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     outcomes: list[SlotOutcome] = []
 
     for t in range(1, cfg.num_slots + 1):
-        counts = streams.draw_counts(geom.rates, cfg.slot_length)
+        counts = streams.draw_counts()
         hit = np.flatnonzero(counts)  # requests with arrivals, in index order
         triples, slot_delay, slot_dissim = [], 0.0, 0.0
         for r, c in zip(hit.tolist(), counts[hit].tolist()):

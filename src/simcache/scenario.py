@@ -94,12 +94,6 @@ def zipf_probabilities(num_contents: int, rho: float) -> np.ndarray:
     return w / w.sum()
 
 
-def neighbour_delays(network: Network) -> dict:
-    """{node: [(neighbour, hop delay), ...]} in ascending neighbour order."""
-    return {v: [(w, network.delay(v, w)) for w in ws]
-            for v, ws in network.adjacency().items()}
-
-
 def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
     """{dst: minimum-total-delay path from src} for every node in dsts.
 
@@ -130,11 +124,6 @@ def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
     return paths
 
 
-def shortest_path(network: Network, src: int, dst: int) -> tuple:
-    """Minimum-total-delay path from src to dst (one shortest_paths search)."""
-    return shortest_paths(neighbour_delays(network), src, (dst,))[dst]
-
-
 def generate_scenario(g: GenConfig) -> Scenario:
     """Build a random instance following the experimental setup defaults."""
     rng = np.random.default_rng(g.seed)
@@ -157,7 +146,7 @@ def generate_scenario(g: GenConfig) -> Scenario:
         draws.append((f, origin, src_node))
         wanted.setdefault(origin, set()).add(src_node)
 
-    neighbours = neighbour_delays(network)
+    neighbours = network.neighbours()
     paths = {origin: shortest_paths(neighbours, origin, dsts)
              for origin, dsts in wanted.items()}
 

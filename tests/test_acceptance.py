@@ -219,13 +219,13 @@ def test_criterion_8_stochastic_gradients_are_unbiased():
     mu = np.full((s.num_requests, s.num_contents), 0.2)
 
     n_slots = 10_000
-    streams = RequestStreams(8, s.num_requests)
+    streams = RequestStreams(8, geom.rates, 1.0)
     shapes = [(s.num_nodes, s.num_contents), (s.num_requests, s.num_contents),
               (s.num_requests, s.num_contents)]
     sums = [np.zeros(sh) for sh in shapes]
     sumsq = [np.zeros(sh) for sh in shapes]
     for _ in range(n_slots):
-        counts = streams.draw_counts(geom.rates, 1.0)
+        counts = streams.draw_counts()
         for acc, acc2, g in zip(sums, sumsq,
                                 stochastic_gradients(geom.evaluate(S.X), S.Q, mu, counts, 1.0)):
             acc += g

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from simcache import cli
 from simcache.cli import main
 
 GEN_FLAGS = ["--nodes-side", "3", "--contents", "4", "--requests", "6",
@@ -304,13 +305,39 @@ class TestSweep:
         assert f"violation: {code}" in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "1,1.5,1.9", "1e20"])
     def test_rejects_capacity_that_is_no_integer(self, tmp_path, value):
         out = tmp_path / "x"
         res = run(["sweep", *GEN_FLAGS, "--param", "capacity", "--values", value,
                    "--seeds", "0", "--out", str(out)])
         assert res.exit_code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [
+        ["--values", "10", "--seeds", ""],
+        ["--values", ","],
+        ["--values", "10", "--schemes", ""],
+        ["--values", "nan", "--seeds", ""],
+    ])
+    def test_rejects_empty_grid(self, tmp_path, grid):
+        out = tmp_path / "x"
+        res = run(["sweep", *GEN_FLAGS, *grid, "--out", str(out)])
+        assert res.exit_code == 2
+        assert not out.exists()
+
+    def test_generates_each_seed_once(self, tmp_path, monkeypatch):
+        seeds = []
+        generate = cli.generate_scenario
+
+        def counting(g):
+            seeds.append(g.seed)
+            return generate(g)
+
+        monkeypatch.setattr(cli, "generate_scenario", counting)
+        res = run(["sweep", *GEN_FLAGS, "--values", "1,10", "--seeds", "0,1,2",
+                   "--max-iters", "50", "--out", str(tmp_path / "x")])
+        assert res.exit_code == 0
+        assert sorted(seeds) == [0, 1, 2]
 
     def test_process_pool_matches_serial(self, tmp_path):
         args = ["sweep", *GEN_FLAGS, "--param", "capacity", "--values", "0,1",

@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,6 +87,17 @@ class TestValidateScenario:
                        capacities=s.capacities, alpha=s.alpha)
         assert "DisconnectedNetwork" in self._codes(bad)
 
+    @pytest.mark.parametrize("edge", [(0, 99), (-1, 0)])
+    def test_undeclared_edge_endpoint(self, edge):
+        s = make_line_scenario()
+        bad = replace(s, network=Network(s.num_nodes, {**s.network.delays, edge: 1.0}))
+        assert self._codes(bad) == {"EdgeEndpointUnknown"}
+
+    def test_fewer_source_sets_than_contents(self):
+        # the request's content 1 has no source set to end at
+        bad = replace(make_line_scenario(content=1), sources=(frozenset({2}),))
+        assert self._codes(bad) == {"SourceMapSize"}
+
     def test_negative_alpha_and_capacity(self):
         s = make_line_scenario()
         bad = Scenario(s.catalog, s.network, s.sources, s.requests,
@@ -141,3 +155,10 @@ def test_network_delay_symmetric(default_scenario):
     net = default_scenario.network
     (u, v), tau = next(iter(net.delays.items()))
     assert net.delay(u, v) == net.delay(v, u) == tau
+
+
+def test_unpickled_scenario_is_read_only(default_scenario):
+    # sweep workers receive their instances pickled
+    s = pickle.loads(pickle.dumps(default_scenario))
+    assert s == default_scenario
+    assert not s.dissimilarity.flags.writeable and not s.capacities.flags.writeable

@@ -35,33 +35,31 @@ class TestConfig:
 
 class TestRequestStreams:
     def test_zero_rate_draws_nothing(self):
-        streams = RequestStreams(0, 3)
-        counts = streams.draw_counts(np.zeros(3), 1.0)
+        streams = RequestStreams(0, np.zeros(3), 1.0)
+        counts = streams.draw_counts()
         assert np.array_equal(counts, np.zeros(3, dtype=int))
 
     def test_poisson_mean(self):
-        streams = RequestStreams(1, 1)
         lam, n = 2.5, 4000
-        draws = [streams.draw_counts(np.array([lam]), 1.0)[0] for _ in range(n)]
+        streams = RequestStreams(1, np.array([lam]), 1.0)
+        draws = [streams.draw_counts()[0] for _ in range(n)]
         se = np.sqrt(lam / n)
         assert abs(np.mean(draws) - lam) < 3 * se
 
     def test_streams_are_decoupled(self):
         # request 0's draws do not depend on how many other streams exist
-        a = RequestStreams(7, 1)
-        b = RequestStreams(7, 5)
-        rates_a, rates_b = np.array([1.5]), np.full(5, 1.5)
-        seq_a = [a.draw_counts(rates_a, 1.0)[0] for _ in range(20)]
-        seq_b = [b.draw_counts(rates_b, 1.0)[0] for _ in range(20)]
+        a = RequestStreams(7, np.array([1.5]), 1.0)
+        b = RequestStreams(7, np.full(5, 1.5), 1.0)
+        seq_a = [a.draw_counts()[0] for _ in range(20)]
+        seq_b = [b.draw_counts()[0] for _ in range(20)]
         assert seq_a == seq_b
 
     def test_deterministic(self):
         rates = np.array([0.5, 2.0])
-        a = RequestStreams(3, 2)
-        b = RequestStreams(3, 2)
+        a = RequestStreams(3, rates, 1.0)
+        b = RequestStreams(3, rates, 1.0)
         for _ in range(10):
-            assert np.array_equal(a.draw_counts(rates, 1.0),
-                                  b.draw_counts(rates, 1.0))
+            assert np.array_equal(a.draw_counts(), b.draw_counts())
 
     def test_block_draws_equal_scalar_draws(self):
         # rate * T covers zero, numpy's sampler below 10 and its sampler
@@ -70,25 +68,12 @@ class TestRequestStreams:
         rates = np.array([0.0, 0.3, 4.2, 9.99, 10.0, 37.5, 250.0]) / T
         seed, n_slots = 11, 321
         assert n_slots > 4 * BLOCK_SLOTS
-        streams = RequestStreams(seed, len(rates))
+        streams = RequestStreams(seed, rates, T)
         scalar = [np.random.default_rng(ss)
                   for ss in np.random.SeedSequence(seed).spawn(len(rates))]
         for _ in range(n_slots):
             expected = [g.poisson(lam * T) for g, lam in zip(scalar, rates)]
-            assert streams.draw_counts(rates, T).tolist() == expected
-
-    def test_other_rates_or_slot_length_raise(self):
-        rates = np.array([0.5, 2.0])
-        streams = RequestStreams(3, 2)
-        streams.draw_counts(rates, 2.0)
-        with pytest.raises(ValueError):
-            streams.draw_counts(2 * rates, 2.0)
-        with pytest.raises(ValueError):
-            streams.draw_counts(rates, 1.0)
-        for _ in range(2 * BLOCK_SLOTS):  # also once the block is used up
-            streams.draw_counts(rates, 2.0)
-        with pytest.raises(ValueError):
-            streams.draw_counts(np.array([0.5, 2.5]), 2.0)
+            assert streams.draw_counts().tolist() == expected
 
 
 class TestStochasticGradients:
@@ -142,13 +127,13 @@ class TestStochasticGradients:
         mu = np.full((s.num_requests, s.num_contents), 0.2)
         terms = geom.evaluate(S.X)
 
-        streams = RequestStreams(9, s.num_requests)
+        streams = RequestStreams(9, geom.rates, 1.0)
         n_slots = 2000
         sums = [np.zeros((s.num_nodes, s.num_contents)),
                 np.zeros((s.num_requests, s.num_contents)),
                 np.zeros((s.num_requests, s.num_contents))]
         for _ in range(n_slots):
-            counts = streams.draw_counts(geom.rates, 1.0)
+            counts = streams.draw_counts()
             for acc, g in zip(sums, stochastic_gradients(terms, S.Q, mu, counts, 1.0)):
                 acc += g
         means = [a / n_slots for a in sums]
@@ -211,7 +196,7 @@ class TestRunOnline:
         R = s.num_requests
         S = initial_state(s, SolverConfig())
         mu = np.zeros((R, s.num_contents))
-        counts = RequestStreams(cfg.seed, R).draw_counts(geom.rates, cfg.slot_length)
+        counts = RequestStreams(cfg.seed, geom.rates, cfg.slot_length).draw_counts()
         gx, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, counts,
                                            cfg.slot_length)
         S_next = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)

@@ -9,8 +9,8 @@ from scipy import stats
 
 from simcache.model import Network, validate_scenario
 from simcache.scenario import (GenConfig, ScenarioFormatError, generate_scenario,
-                               grid_edges, load_scenario, neighbour_delays,
-                               power_law_dissimilarity, save_scenario, shortest_path,
+                               grid_edges, load_scenario,
+                               power_law_dissimilarity, save_scenario,
                                shortest_paths, with_alpha, with_capacity,
                                zipf_probabilities)
 
@@ -108,24 +108,25 @@ class TestShortestPath:
             net = Network(num_nodes=4, delays={
                 e: float(rng.uniform(1, 10)) for e in edges})
             src, dst = rng.choice(4, size=2, replace=False)
-            got = shortest_path(net, int(src), int(dst))
+            src, dst = int(src), int(dst)
+            got = shortest_paths(net.neighbours(), src, (dst,))[dst]
             cost = sum(net.delay(a, b) for a, b in zip(got, got[1:]))
-            best, best_path = self.brute_force(net, int(src), int(dst))
+            best, best_path = self.brute_force(net, src, dst)
             assert cost == pytest.approx(best)
             assert got == best_path
 
     def test_trivial_and_tie_break(self):
         net = Network(num_nodes=3, delays={(0, 1): 1.0, (1, 2): 1.0, (0, 2): 2.0})
-        assert shortest_path(net, 1, 1) == (1,)
+        assert shortest_paths(net.neighbours(), 1, (1,))[1] == (1,)
         # both routes cost 2; the lexicographically smaller sequence wins
-        assert shortest_path(net, 0, 2) == (0, 1, 2)
+        assert shortest_paths(net.neighbours(), 0, (2,))[2] == (0, 1, 2)
 
     def test_unreachable_raises(self):
         net = Network(num_nodes=3, delays={(0, 1): 1.0})
         with pytest.raises(ValueError):
-            shortest_path(net, 0, 2)
+            shortest_paths(net.neighbours(), 0, (2,))
         with pytest.raises(ValueError):
-            shortest_paths(neighbour_delays(net), 0, (1, 2))
+            shortest_paths(net.neighbours(), 0, (1, 2))
 
     def test_one_search_matches_exhaustive_enumeration(self):
         # integer delays on 5-node graphs, so equal-cost ties are common
@@ -137,7 +138,7 @@ class TestShortestPath:
             net = Network(num_nodes=5, delays={
                 e: float(rng.integers(1, 4)) for e in edges})
             src = int(rng.integers(0, 5))
-            got = shortest_paths(neighbour_delays(net), src, range(5))
+            got = shortest_paths(net.neighbours(), src, range(5))
             assert sorted(got) == list(range(5))
             assert got[src] == (src,)
             for dst in range(5):
@@ -154,7 +155,8 @@ class TestShortestPath:
         s = generate_scenario(GenConfig(**kw))
         for r in s.requests:
             origin, src_node = r.path.nodes[0], min(s.sources[r.content])
-            assert r.path.nodes == shortest_path(s.network, origin, src_node)
+            single = shortest_paths(s.network.neighbours(), origin, (src_node,))
+            assert r.path.nodes == single[src_node]
 
 
 class TestGenerateScenario:
