@@ -23,7 +23,7 @@ import numpy as np
 from .cost import PathGeometry
 from .hibsa import SolveResult, SolverConfig, solve_offline
 from .model import Scenario
-from .online import RequestStreams
+from .online import RequestStreams, SlotConfig
 
 
 def solve_adaptive_caching(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
@@ -32,20 +32,13 @@ def solve_adaptive_caching(s: Scenario, cfg: SolverConfig | None = None) -> Solv
 
 
 @dataclass
-class PerCacheConfig:
+class PerCacheConfig(SlotConfig):
     insert_prob: float = 0.5
-    num_slots: int = 1000
-    seed: int = 0
-    slot_length: float = 1.0
-    delay_window: int = 10
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 <= self.insert_prob <= 1.0:
             raise ValueError("insert_prob must lie in [0, 1]")
-        if self.num_slots < 1 or self.delay_window < 1:
-            raise ValueError("num_slots and delay_window must be >= 1")
-        if not 0 < self.slot_length < np.inf:
-            raise ValueError("slot_length must be positive and finite")
 
 
 @dataclass

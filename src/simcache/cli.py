@@ -7,9 +7,10 @@ so any output can be reproduced byte-for-byte from the manifest alone.
 Exit codes: 0 success (including reported nonconvergence); 1 scenario
 violations, among them those of a solve --alpha or any sweep grid instance,
 all checked before anything is solved or written; 2 usage error, including
-an out-of-range or non-finite value of any other option, a sweep capacity
-that is no int64 whole number or an empty sweep grid, rejected before
-anything is written; 3 I/O or parse error.
+an out-of-range or non-finite value of any other option (a negative seed
+among them), a sweep capacity that is no int64 whole number or an empty
+sweep grid, rejected before anything is written; 3 I/O or parse error,
+including a scenario capacity that is no integer and a repeated edge.
 """
 
 from __future__ import annotations
@@ -89,14 +90,14 @@ def _exit_on_violations(s) -> None:
         sys.exit(1)
 
 
-def solve_summary_row(s, scheme, cfg):
+def solve_summary_row(s, cfg):
     """One summary row (scheme, expected_delay, ...) for a single solve;
-    ``cfg.pin_delivery`` selects the adaptive-caching mode."""
+    ``cfg.pin_delivery`` selects the adaptive-caching scheme."""
     res = solve_offline(s, cfg)
     frac_obj = res.trace.rows[-1][2]
     gap = ((res.rounded.objective - frac_obj) / frac_obj) if frac_obj > 0 else 0.0
     return res, {
-        "scheme": scheme,
+        "scheme": "adaptive" if cfg.pin_delivery else "similarity",
         "alpha": s.alpha,
         "expected_delay": res.rounded.expected_delay,
         "dissimilarity_cost": res.rounded.dissimilarity_cost,
@@ -121,7 +122,7 @@ def sweep_point(s, scheme, cfg: SolverConfig):
     """Solve one grid instance under one scheme; the row from its scheme on."""
     cfg = replace(cfg, pin_delivery=(scheme == "adaptive"))
     try:
-        _, row = solve_summary_row(s, scheme, cfg)
+        _, row = solve_summary_row(s, cfg)
         return tuple(row[c] for c in SWEEP_COLUMNS[3:])
     except Exception as exc:  # partial failure recorded per row
         return (scheme, None, None, None, 0, f"error: {exc}")
@@ -137,27 +138,27 @@ def main():
     """Joint cache placement and similarity-based delivery optimizer."""
 
 
-# each flag names the GenConfig field it sets
+# each flag names the GenConfig field it sets and takes that field's default
 _gen_options = [
-    click.option("--nodes-side", "nodes_side", default=5, show_default=True),
-    click.option("--topology", default="grid", type=click.Choice(["grid", "torus"]),
+    click.option("--nodes-side", "nodes_side", default=GenConfig.nodes_side, show_default=True),
+    click.option("--topology", default=GenConfig.topology, type=click.Choice(["grid", "torus"]),
                  show_default=True),
-    click.option("--contents", "num_contents", default=10, show_default=True),
-    click.option("--requests", "num_requests", default=40, show_default=True),
-    click.option("--origins", "num_origins", default=12, show_default=True),
-    click.option("--capacity", default=2, show_default=True),
-    click.option("--beta", default=3.0, show_default=True),
-    click.option("--rho", default=1.2, show_default=True),
-    click.option("--alpha", default=10.0, show_default=True),
-    click.option("--seed", default=0, show_default=True),
+    click.option("--contents", "num_contents", default=GenConfig.num_contents, show_default=True),
+    click.option("--requests", "num_requests", default=GenConfig.num_requests, show_default=True),
+    click.option("--origins", "num_origins", default=GenConfig.num_origins, show_default=True),
+    click.option("--capacity", default=GenConfig.capacity, show_default=True),
+    click.option("--beta", default=GenConfig.beta, show_default=True),
+    click.option("--rho", default=GenConfig.rho, show_default=True),
+    click.option("--alpha", default=GenConfig.alpha, show_default=True),
+    click.option("--seed", default=GenConfig.seed, show_default=True),
 ]
 
-# each flag names the SolverConfig field it sets
+# each flag names the SolverConfig field it sets and takes that field's default
 _solver_options = [
-    click.option("--eta-s", default=1e-3, show_default=True),
-    click.option("--eta-mu", default=1.0, show_default=True),
-    click.option("--delta", default=1e-6, show_default=True),
-    click.option("--max-iters", default=50000, show_default=True),
+    click.option("--eta-s", default=SolverConfig.eta_s, show_default=True),
+    click.option("--eta-mu", default=SolverConfig.eta_mu, show_default=True),
+    click.option("--delta", default=SolverConfig.delta, show_default=True),
+    click.option("--max-iters", default=SolverConfig.max_iters, show_default=True),
 ]
 
 
@@ -211,8 +212,7 @@ def solve(scenario, out, alpha, baseline, seed, **solver):
     if alpha is not None:
         s = with_alpha(s, alpha)
     _exit_on_violations(s)
-    scheme = baseline or "similarity"
-    res, summary = solve_summary_row(s, scheme, cfg)
+    res, summary = solve_summary_row(s, cfg)
 
     out_dir = run_dir(out, "solve", click.get_current_context().params)
     write_csv(out_dir / "trace.csv", TRACE_COLUMNS, res.trace.rows)
@@ -221,7 +221,7 @@ def solve(scenario, out, alpha, baseline, seed, **solver):
                    "Q": res.rounded.Q.astype(int).tolist()}, fh, indent=1)
         fh.write("\n")
     write_csv(out_dir / "summary.csv", list(summary), [list(summary.values())])
-    click.echo(f"{scheme}: objective={summary['objective']:.6g} "
+    click.echo(f"{summary['scheme']}: objective={summary['objective']:.6g} "
                f"delay={summary['expected_delay']:.6g} "
                f"dissimilarity={summary['dissimilarity_cost']:.6g} "
                f"({summary['stop_reason']} after {summary['iterations']} iters)")
@@ -256,7 +256,8 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
     solver = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
     cfg = _config(SolverConfig, **solver)
     g = _config(GenConfig, **flags)
-    instances = {seed: generate_scenario(replace(g, seed=seed)) for seed in set(seed_list)}
+    instances = {seed: generate_scenario(_config(GenConfig, **{**flags, "seed": seed}))
+                 for seed in set(seed_list)}
     heads, points = [], []  # (param, value, seed) and (instance, scheme) per row
     for v in value_list:
         for seed in seed_list:
@@ -283,25 +284,24 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
 @click.option("--scenario", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 @click.option("--baseline", default=None, type=click.Choice(["per-cache"]))
-@click.option("--slots", default=1000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--slot-length", default=1.0, show_default=True)
-@click.option("--eta-x", default=1e-3, show_default=True)
-@click.option("--eta-q", default=1e-3, show_default=True)
-@click.option("--eta-mu", default=1.0, show_default=True)
-@click.option("--insert-prob", default=0.5, show_default=True,
+@click.option("--slots", default=OnlineConfig.num_slots, show_default=True)
+@click.option("--seed", default=OnlineConfig.seed, show_default=True)
+@click.option("--slot-length", default=OnlineConfig.slot_length, show_default=True)
+@click.option("--eta-x", default=OnlineConfig.eta_x, show_default=True)
+@click.option("--eta-q", default=OnlineConfig.eta_q, show_default=True)
+@click.option("--eta-mu", default=OnlineConfig.eta_mu, show_default=True)
+@click.option("--insert-prob", default=PerCacheConfig.insert_prob, show_default=True,
               help="Per-cache baseline insertion probability.")
 @click.option("--offline-ref/--no-offline-ref", default=False, show_default=True,
               help="Also solve offline and record its delay as a column.")
-@click.option("--max-iters", default=50000, show_default=True,
+@click.option("--max-iters", default=SolverConfig.max_iters, show_default=True,
               help="Iteration budget of the offline reference solve.")
 def online(scenario, out, baseline, slots, seed, slot_length, eta_x, eta_q,
            eta_mu, insert_prob, offline_ref, max_iters):
     """Run the online scheme (or the per-cache baseline); write a slot log."""
-    online_cfg = _config(OnlineConfig, slot_length=slot_length, eta_x=eta_x,
-                         eta_q=eta_q, eta_mu=eta_mu, num_slots=slots, seed=seed)
-    per_cache_cfg = _config(PerCacheConfig, insert_prob=insert_prob, num_slots=slots,
-                            seed=seed, slot_length=slot_length)
+    slot = dict(slot_length=slot_length, num_slots=slots, seed=seed)
+    online_cfg = _config(OnlineConfig, eta_x=eta_x, eta_q=eta_q, eta_mu=eta_mu, **slot)
+    per_cache_cfg = _config(PerCacheConfig, insert_prob=insert_prob, **slot)
     ref_cfg = _config(SolverConfig, max_iters=max_iters)
     s = _load(scenario)
     _exit_on_violations(s)

@@ -40,21 +40,31 @@ from .model import Scenario
 
 
 @dataclass
-class OnlineConfig:
+class SlotConfig:
+    """Options of a slotted run, shared by ``run_online`` and the per-cache baseline."""
+
     slot_length: float = 1.0
-    eta_x: float = 1e-3
-    eta_q: float = 1e-3
-    eta_mu: float = 1.0
     num_slots: int = 1000
     seed: int = 0
     delay_window: int = 10
 
     def __post_init__(self):
-        if not all(0 < x < np.inf for x in (self.slot_length, self.eta_x,
-                                            self.eta_q, self.eta_mu)):
-            raise ValueError("slot_length and step sizes must be positive and finite")
-        if self.num_slots < 1 or self.delay_window < 1:
-            raise ValueError("num_slots and delay_window must be >= 1")
+        if not 0 < self.slot_length < np.inf:
+            raise ValueError("slot_length must be positive and finite")
+        if self.num_slots < 1 or self.delay_window < 1 or self.seed < 0:
+            raise ValueError("num_slots and delay_window must be >= 1, seed >= 0")
+
+
+@dataclass
+class OnlineConfig(SlotConfig):
+    eta_x: float = SolverConfig.eta_s
+    eta_q: float = SolverConfig.eta_s
+    eta_mu: float = SolverConfig.eta_mu
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not all(0 < x < np.inf for x in (self.eta_x, self.eta_q, self.eta_mu)):
+            raise ValueError("step sizes must be positive and finite")
 
 
 @dataclass(slots=True)
@@ -142,7 +152,6 @@ class OnlineResult:
     outcomes: list
     final_state: PrimalState
     final_dual: np.ndarray
-    final_rounded: tuple  # (X_int, Q_int)
 
 
 def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
@@ -202,5 +211,4 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             Q_rounded=Q_int,
         ))
 
-    return OnlineResult(outcomes=outcomes, final_state=S, final_dual=mu,
-                        final_rounded=(X_int, Q_int))
+    return OnlineResult(outcomes=outcomes, final_state=S, final_dual=mu)

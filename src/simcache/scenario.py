@@ -42,9 +42,6 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.nodes_side < 1:
             raise ValueError("nodes_side must be >= 1")
         if self.topology not in ("grid", "torus"):
@@ -53,8 +50,8 @@ class GenConfig:
             raise ValueError("num_contents and num_requests must be >= 1")
         if not 1 <= self.num_origins <= self.nodes_side ** 2:
             raise ValueError("num_origins must lie in [1, nodes_side^2]")
-        if self.capacity < 0:
-            raise ValueError("capacity must be nonnegative")
+        if self.capacity < 0 or self.seed < 0:
+            raise ValueError("capacity and seed must be nonnegative")
         if not all(0 <= x < np.inf for x in (self.beta, self.rho, self.alpha, self.rate)):
             raise ValueError("beta, rho, alpha, rate must be finite and nonnegative")
 
@@ -175,32 +172,24 @@ def with_capacity(s: Scenario, capacity: int) -> Scenario:
 # -- file format ---------------------------------------------------------
 
 
-def _node_name(v: int) -> str:
-    return f"v{v}"
-
-
-def _content_name(f: int) -> str:
-    return f"f{f}"
-
-
 def save_scenario(s: Scenario, path) -> None:
     """Write the JSON scenario document; floats round-trip exactly."""
     doc = {
-        "nodes": [_node_name(v) for v in range(s.num_nodes)],
+        "nodes": [f"v{v}" for v in range(s.num_nodes)],
         "edges": [
-            {"u": _node_name(u), "v": _node_name(v), "delay": tau}
+            {"u": f"v{u}", "v": f"v{v}", "delay": tau}
             for (u, v), tau in sorted(s.network.delays.items())
         ],
-        "contents": [_content_name(f) for f in range(s.num_contents)],
+        "contents": [f"f{f}" for f in range(s.num_contents)],
         "sources": {
-            _content_name(f): [_node_name(v) for v in sorted(nodes)]
+            f"f{f}": [f"v{v}" for v in sorted(nodes)]
             for f, nodes in enumerate(s.sources)
         },
-        "capacities": {_node_name(v): int(c) for v, c in enumerate(s.capacities)},
+        "capacities": {f"v{v}": int(c) for v, c in enumerate(s.capacities)},
         "requests": [
             {
-                "content": _content_name(r.content),
-                "path": [_node_name(v) for v in r.path.nodes],
+                "content": f"f{r.content}",
+                "path": [f"v{v}" for v in r.path.nodes],
                 "rate": r.rate,
             }
             for r in s.requests
@@ -262,8 +251,10 @@ def load_scenario(path) -> Scenario:
     delays = {}
     with _parsing("edges"):
         for e in _require(doc, "edges"):
-            u, v, tau = e["u"], e["v"], e["delay"]
-            delays[edge_key(node_index[u], node_index[v])] = float(tau)
+            key = edge_key(node_index[e["u"]], node_index[e["v"]])
+            if key in delays:
+                raise ScenarioFormatError(f"duplicate edge {e['u']}-{e['v']} under 'edges'")
+            delays[key] = float(e["delay"])
     network = Network(num_nodes=len(node_names), delays=delays)
 
     sources = []
@@ -275,7 +266,9 @@ def load_scenario(path) -> Scenario:
     capacities = np.zeros(len(node_names), dtype=int)
     with _parsing("capacities"):
         for name, c in _require(doc, "capacities").items():
-            capacities[node_index[name]] = int(c)
+            if type(c) is not int:  # int(c) would load 1.5 and true as 1
+                raise ScenarioFormatError(f"capacity {c!r} under 'capacities' is no integer")
+            capacities[node_index[name]] = c
 
     requests = []
     with _parsing("requests"):

@@ -90,6 +90,9 @@ class TestValidate:
         lambda d: d.update(capacities=list(d["capacities"].values())),
         lambda d: d.update(edges=5),
         lambda d: d["dissimilarity"][0].pop(),
+        lambda d: d["capacities"].update(v0=1.5),
+        lambda d: d["capacities"].update(v0=True),
+        lambda d: d["edges"].append(dict(d["edges"][0], delay=1.0)),
     ])
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_malformed_field_is_io_error(self, tmp_path, mutate, command):
@@ -133,6 +136,8 @@ class TestOptionErrors:
         ["online", "--baseline", "per-cache", "--insert-prob", "2"],
         ["online", "--slot-length", "inf"],
         ["online", "--eta-x", "nan"],
+        ["online", "--seed", "-1"],
+        ["online", "--baseline", "per-cache", "--seed", "-1"],
     ])
     def test_exits_2_without_writing(self, tmp_path, args):
         p = write_scenario(tmp_path)
@@ -141,6 +146,18 @@ class TestOptionErrors:
         res = run([command, "--scenario", str(p), *flags, "--out", str(out)])
         assert res.exit_code == 2
         assert "Traceback" not in res.output
+        assert "must" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["generate", "--seed", "-1"],
+        ["sweep", "--values", "10", "--seeds=-1"],
+        ["sweep", "--values", "10", "--seeds", "0", "--seed", "-3"],
+    ])
+    def test_negative_seed_writes_nothing(self, tmp_path, args):
+        out = tmp_path / "x"
+        res = run([*args, "--out", str(out)])
+        assert res.exit_code == 2
         assert "must" in res.output
         assert not out.exists()
 

@@ -27,7 +27,7 @@ class TestConfig:
                                     dict(delay_window=0), dict(slot_length=np.inf),
                                     dict(slot_length=np.nan), dict(eta_x=np.nan),
                                     dict(eta_q=np.inf), dict(eta_mu=np.nan),
-                                    dict(eta_mu=np.inf)])
+                                    dict(eta_mu=np.inf), dict(seed=-1)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             OnlineConfig(**kw)
@@ -238,7 +238,6 @@ class TestRunOnline:
         shared = sum(o.cache_churn == 0 for o in res.outcomes)
         assert 100 < shared < 200
         arrays = {id(a): a for o in res.outcomes for a in (o.X_rounded, o.Q_rounded)}
-        arrays.update((id(a), a) for a in res.final_rounded)
         for a in arrays.values():
             with pytest.raises(ValueError):
                 a[0, 0] = 0.5
@@ -292,6 +291,6 @@ class TestRunOnline:
     def test_learns_to_cache_on_line(self):
         s = make_line_scenario(taus=(4.0, 9.0), rate=5.0, alpha=10.0)
         res = run_online(s, OnlineConfig(num_slots=800, seed=0, eta_x=5e-3))
-        X_int, _ = res.final_rounded
+        X_int = res.outcomes[-1].X_rounded
         assert X_int[0, 0] == 1.0  # requested content cached at the ingress
         assert res.outcomes[-1].windowed_delay == 0.0

@@ -21,11 +21,11 @@ class TestGenConfig:
         dict(num_requests=0), dict(num_origins=0), dict(num_origins=26),
         dict(capacity=-1), dict(beta=-1.0), dict(rho=-0.5), dict(alpha=-1.0),
         dict(rate=-1.0), dict(beta=np.inf), dict(rho=np.nan), dict(alpha=np.nan),
-        dict(alpha=np.inf), dict(rate=np.nan), dict(rate=np.inf),
+        dict(alpha=np.inf), dict(rate=np.nan), dict(rate=np.inf), dict(seed=-1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
-            GenConfig(**kw).validate()
+            GenConfig(**kw)
 
 
 class TestGridEdges:
@@ -250,6 +250,15 @@ class TestFileFormat:
         pytest.param(lambda d: d.update(edges=5), "edges", id="edges-not-a-list"),
         pytest.param(lambda d: d["dissimilarity"][0].pop(), "dissimilarity",
                      id="ragged-dissimilarity"),
+        pytest.param(lambda d: d["capacities"].update(v0=1.5), "capacities",
+                     id="fractional-capacity"),
+        pytest.param(lambda d: d["capacities"].update(v0=True), "capacities",
+                     id="boolean-capacity"),
+        pytest.param(lambda d: d["edges"].append(dict(d["edges"][0], delay=1.0)), "edges",
+                     id="repeated-edge"),
+        pytest.param(lambda d: d["edges"].append(dict(d["edges"][0], u=d["edges"][0]["v"],
+                                                      v=d["edges"][0]["u"])),
+                     "edges", id="reversed-repeated-edge"),
     ])
     def test_malformed_documents(self, tmp_path, small_scenario, mutate, fragment):
         p = tmp_path / "scenario.json"
