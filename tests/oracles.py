@@ -7,6 +7,7 @@ helpers at the end of the file are the exception: they call the package's
 Lagrangian and matrix projections, and only the tests use them.
 """
 
+import json
 from itertools import combinations, product
 
 import numpy as np
@@ -113,6 +114,35 @@ def padded_path_oracle(s, X, Q, mu, weights=None):
     gX = np.zeros((s.num_nodes, F))
     np.add.at(gX, nodes.ravel(), H.reshape(-1, F))
     return delays, CP[:, -1], gX
+
+
+def reference_scenario_bytes(s):
+    """The scenario file as ``json.dump(doc, fh, indent=1)`` plus a newline
+    writes it: the byte layout that ``save_scenario`` must keep."""
+    doc = {
+        "nodes": [f"v{v}" for v in range(s.num_nodes)],
+        "edges": [
+            {"u": f"v{u}", "v": f"v{v}", "delay": tau}
+            for (u, v), tau in sorted(s.network.delays.items())
+        ],
+        "contents": [f"f{f}" for f in range(s.num_contents)],
+        "sources": {
+            f"f{f}": [f"v{v}" for v in sorted(nodes)]
+            for f, nodes in enumerate(s.sources)
+        },
+        "capacities": {f"v{v}": int(c) for v, c in enumerate(s.capacities)},
+        "requests": [
+            {
+                "content": f"f{r.content}",
+                "path": [f"v{v}" for v in r.path.nodes],
+                "rate": r.rate,
+            }
+            for r in s.requests
+        ],
+        "dissimilarity": [[float(x) for x in row] for row in s.dissimilarity],
+        "alpha": s.alpha,
+    }
+    return (json.dumps(doc, indent=1) + "\n").encode()
 
 
 def enumerate_integer_optimum(s):

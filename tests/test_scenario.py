@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracles import reference_scenario_bytes
 from scipy import stats
 
-from simcache.model import Network, validate_scenario
+from simcache.model import (Catalog, Network, Path, Request, Scenario,
+                            validate_scenario)
 from simcache.scenario import (GenConfig, ScenarioFormatError, generate_scenario,
                                grid_edges, load_scenario,
                                power_law_dissimilarity, save_scenario,
@@ -195,6 +197,30 @@ class TestGenerateScenario:
     def test_seed_changes_instance(self):
         assert generate_scenario(GenConfig(seed=5)) != generate_scenario(GenConfig(seed=6))
 
+    @pytest.mark.parametrize("rho", [0.0, 1.2, 2.5])
+    @pytest.mark.parametrize("kw", [
+        *(dict(seed=seed) for seed in range(4)),
+        dict(seed=7, topology="torus", num_contents=3, num_requests=25),
+        dict(seed=1, nodes_side=10, num_contents=100, num_requests=400,
+             num_origins=40),
+    ])
+    def test_draws_match_generator_choice(self, kw, rho):
+        # replays the draws in order, with numpy's own Generator.choice
+        # taking each request's content
+        g = GenConfig(rho=rho, **kw)
+        rng = np.random.default_rng(g.seed)
+        V, F = g.nodes_side ** 2, g.num_contents
+        rng.uniform(1.0, 10.0, len(grid_edges(g.nodes_side, g.topology == "torus")))
+        sources = [int(rng.integers(0, V)) for _ in range(F)]
+        origins = sorted(int(v) for v in rng.choice(V, size=g.num_origins, replace=False))
+        probs = zipf_probabilities(F, rho)
+        s = generate_scenario(g)
+        assert s.sources == tuple(frozenset({v}) for v in sources)
+        for r in s.requests:
+            f = int(rng.choice(F, p=probs))
+            origin = origins[rng.integers(0, len(origins))]
+            assert (r.content, r.path.nodes[0]) == (f, origin)
+
 
 class TestVariants:
     def test_with_alpha(self, small_scenario):
@@ -209,7 +235,43 @@ class TestVariants:
         assert t.alpha == small_scenario.alpha
 
 
+def awkward_scenario(alpha):
+    """Three nodes, floats whose shortest repr is long, tiny or huge, and
+    one content with two sources."""
+    return Scenario(
+        catalog=Catalog(2),
+        network=Network(num_nodes=3, delays={(0, 1): 0.1 + 0.2, (1, 2): 1e-7,
+                                             (0, 2): 1e16}),
+        sources=(frozenset({2, 0}), frozenset({2})),
+        requests=(Request(content=0, path=Path((1, 0)), rate=5e-324),
+                  Request(content=1, path=Path((0, 1, 2)), rate=2.0)),
+        dissimilarity=np.array([[0.0, 0.1 + 0.2], [1e16, 5e-324]]),
+        capacities=np.array([1, 0, 3]),
+        alpha=alpha,
+    )
+
+
 class TestFileFormat:
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda seed=seed, topology=topology: generate_scenario(
+            GenConfig(seed=seed, topology=topology)), id=f"{topology}-{seed}")
+          for seed in range(5) for topology in ("grid", "torus")),
+        pytest.param(lambda: generate_scenario(GenConfig(
+            nodes_side=10, num_contents=100, num_requests=400, num_origins=40,
+            capacity=5)), id="mid-0"),
+        pytest.param(lambda: generate_scenario(GenConfig(rho=0.0)), id="rho-0"),
+        pytest.param(lambda: generate_scenario(GenConfig(beta=0.0)), id="beta-0"),
+        pytest.param(lambda: generate_scenario(GenConfig(
+            nodes_side=3, num_origins=4, seed=3)), id="grid-3x3"),
+        pytest.param(lambda: awkward_scenario(np.inf), id="awkward-alpha-inf"),
+        pytest.param(lambda: awkward_scenario(np.nan), id="awkward-alpha-nan"),
+    ])
+    def test_writes_json_dump_bytes(self, tmp_path, make):
+        s = make()
+        p = tmp_path / "scenario.json"
+        save_scenario(s, p)
+        assert p.read_bytes() == reference_scenario_bytes(s)
+
     def test_roundtrip(self, tmp_path, small_scenario):
         p = tmp_path / "scenario.json"
         save_scenario(small_scenario, p)
