@@ -96,13 +96,18 @@ def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
 
     Dijkstra over (distance, path) heap entries that pops until every
     destination is settled.  Equal-cost ties pop the smaller node sequence
-    first, so output is deterministic.  The pops up to a destination's
-    first one do not depend on the other destinations, so each path is
-    the one a search for that destination alone returns.
+    first, so output is deterministic.  An entry is pushed only when its
+    distance is no larger than that of every entry already pushed for its
+    node: a longer one could never be its node's first pop, so the pops
+    that settle nodes, and with them the tie rule, are those of a search
+    that pushes every entry.  The pops up to a destination's first one do
+    not depend on the other destinations, so each path is the one a search
+    for that destination alone returns.
     """
     todo = set(dsts)
     paths = {}
     done = set()
+    shortest = {src: 0.0}  # node -> smallest distance pushed for it
     heap = [(0.0, (src,))]
     while heap and todo:
         dist, path = heapq.heappop(heap)
@@ -114,8 +119,10 @@ def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
             todo.remove(node)
             paths[node] = path
         for w, tau in neighbours[node]:
-            if w not in done:
-                heapq.heappush(heap, (dist + tau, path + (w,)))
+            d = dist + tau
+            if d <= shortest.get(w, np.inf):
+                shortest[w] = d
+                heapq.heappush(heap, (d, path + (w,)))
     if todo:
         raise ValueError(f"no path from {src} to {min(todo)}")
     return paths
@@ -133,11 +140,13 @@ def generate_scenario(g: GenConfig) -> Scenario:
                     for _ in range(g.num_contents))
     origins = sorted(int(v) for v in rng.choice(V, size=g.num_origins, replace=False))
 
-    probs = zipf_probabilities(g.num_contents, g.rho)
+    # Generator.choice(F, p=probs) forms this CDF and looks up one uniform
+    cdf = zipf_probabilities(g.num_contents, g.rho).cumsum()
+    cdf /= cdf[-1]
     draws = []  # (content, origin, source node) per request
     wanted: dict[int, set] = {}  # origin -> the source nodes its requests need
     for _ in range(g.num_requests):
-        f = int(rng.choice(g.num_contents, p=probs))
+        f = int(cdf.searchsorted(rng.random(), side="right"))
         origin = int(origins[rng.integers(0, len(origins))])
         src_node = min(sources[f])
         draws.append((f, origin, src_node))
@@ -172,34 +181,58 @@ def with_capacity(s: Scenario, capacity: int) -> Scenario:
 # -- file format ---------------------------------------------------------
 
 
+_encode = json.JSONEncoder().encode
+_encode_row = json.JSONEncoder(separators=(",\n   ", ": ")).encode  # one row a line
+
+
+def _json_numbers(values: list) -> list:
+    """Each number as json writes it (float repr, NaN, Infinity), from one
+    call of the C encoder."""
+    return _encode(values)[1:-1].split(", ") if values else []
+
+
+def _layout(items: list, depth: int, brackets: str = "[]") -> str:
+    """json's indent=1 layout of a list (an object with brackets "{}")
+    opened at indent ``depth``, from its items already laid out."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
+
+
 def save_scenario(s: Scenario, path) -> None:
-    """Write the JSON scenario document; floats round-trip exactly."""
-    doc = {
-        "nodes": [f"v{v}" for v in range(s.num_nodes)],
-        "edges": [
-            {"u": f"v{u}", "v": f"v{v}", "delay": tau}
-            for (u, v), tau in sorted(s.network.delays.items())
-        ],
-        "contents": [f"f{f}" for f in range(s.num_contents)],
-        "sources": {
-            f"f{f}": [f"v{v}" for v in sorted(nodes)]
-            for f, nodes in enumerate(s.sources)
-        },
-        "capacities": {f"v{v}": int(c) for v, c in enumerate(s.capacities)},
-        "requests": [
-            {
-                "content": f"f{r.content}",
-                "path": [f"v{v}" for v in r.path.nodes],
-                "rate": r.rate,
-            }
-            for r in s.requests
-        ],
-        "dissimilarity": [[float(x) for x in row] for row in s.dissimilarity],
-        "alpha": s.alpha,
-    }
+    """Write the JSON scenario document; floats round-trip exactly.
+
+    The file holds the bytes of ``json.dump(doc, fh, indent=1)`` and a
+    newline, laid out here from the document's fixed shape and written
+    section by section, the dissimilarity matrix row by row.
+    """
+    edges = sorted(s.network.delays.items())
+    delays = _json_numbers([tau for _, tau in edges])
+    rates = _json_numbers([r.rate for r in s.requests])
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "nodes": ' + _layout([f'"v{v}"' for v in range(s.num_nodes)], 1))
+        fh.write(',\n "edges": ' + _layout([
+            f'{{\n   "u": "v{u}",\n   "v": "v{v}",\n   "delay": {tau}\n  }}'
+            for ((u, v), _), tau in zip(edges, delays)], 1))
+        fh.write(',\n "contents": ' + _layout([f'"f{f}"' for f in range(s.num_contents)], 1))
+        fh.write(',\n "sources": ' + _layout([
+            f'"f{f}": ' + _layout([f'"v{v}"' for v in sorted(nodes)], 2)
+            for f, nodes in enumerate(s.sources)], 1, "{}"))
+        fh.write(',\n "capacities": ' + _layout([
+            f'"v{v}": {int(c)}' for v, c in enumerate(s.capacities)], 1, "{}"))
+        fh.write(',\n "requests": ' + _layout([
+            f'{{\n   "content": "f{r.content}",\n   "path": '
+            + _layout([f'"v{v}"' for v in r.path.nodes], 3)
+            + f',\n   "rate": {rate}\n  }}'
+            for r, rate in zip(s.requests, rates)], 1))
+        rows = np.asarray(s.dissimilarity, dtype=float)
+        fh.write(',\n "dissimilarity": ' + ("[" if len(rows) else "[]"))
+        for i, row in enumerate(rows):
+            text = _encode_row(row.tolist())[1:-1]
+            fh.write(("," if i else "") + "\n  " + _layout([text] if text else [], 2))
+        fh.write(("\n ]" if len(rows) else "") + ',\n "alpha": '
+                 + _json_numbers([s.alpha])[0] + "\n}\n")
 
 
 def _require(doc: dict, key: str):
@@ -220,6 +253,13 @@ def _parsing(key: str):
         raise ScenarioFormatError(f"unknown or missing name {exc} under {key!r}") from exc
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed value under {key!r}: {exc}") from exc
+
+
+def _number(value) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if type(value) not in (int, float):  # float() would load "2" and true
+        raise ValueError(f"{value!r} is no number")
+    return float(value)
 
 
 def load_scenario(path) -> Scenario:
@@ -254,7 +294,7 @@ def load_scenario(path) -> Scenario:
             key = edge_key(node_index[e["u"]], node_index[e["v"]])
             if key in delays:
                 raise ScenarioFormatError(f"duplicate edge {e['u']}-{e['v']} under 'edges'")
-            delays[key] = float(e["delay"])
+            delays[key] = _number(e["delay"])
     network = Network(num_nodes=len(node_names), delays=delays)
 
     sources = []
@@ -277,7 +317,7 @@ def load_scenario(path) -> Scenario:
             requests.append(Request(
                 content=content_index[f],
                 path=Path(tuple(node_index[v] for v in p)),
-                rate=float(rate),
+                rate=_number(rate),
             ))
 
     F = len(content_names)
@@ -287,15 +327,20 @@ def load_scenario(path) -> Scenario:
             if "power_law" not in d_doc or "beta" not in d_doc.get("power_law", {}):
                 raise ScenarioFormatError(
                     "'dissimilarity' object must be {'power_law': {'beta': ...}}")
-            dissimilarity = power_law_dissimilarity(F, float(d_doc["power_law"]["beta"]))
+            dissimilarity = power_law_dissimilarity(F, _number(d_doc["power_law"]["beta"]))
         else:
+            kinds = set()
+            for row in d_doc:
+                kinds.update(map(type, row))
+            if not kinds <= {int, float}:
+                raise ScenarioFormatError("an entry of 'dissimilarity' is no number")
             dissimilarity = np.array(d_doc, dtype=float)
             if dissimilarity.shape != (F, F):
                 raise ScenarioFormatError(
                     f"'dissimilarity' must be {F}x{F}, got {dissimilarity.shape}")
 
     with _parsing("alpha"):
-        alpha = float(_require(doc, "alpha"))
+        alpha = _number(_require(doc, "alpha"))
     return Scenario(
         catalog=Catalog(F),
         network=network,

@@ -93,6 +93,11 @@ class TestValidate:
         lambda d: d["capacities"].update(v0=1.5),
         lambda d: d["capacities"].update(v0=True),
         lambda d: d["edges"].append(dict(d["edges"][0], delay=1.0)),
+        lambda d: d["requests"][0].update(rate="2"),
+        lambda d: d["edges"][0].update(delay=True),
+        lambda d: d.update(alpha="10"),
+        lambda d: d["dissimilarity"][0].__setitem__(1, "1.0"),
+        lambda d: d["dissimilarity"][1].__setitem__(0, False),
     ])
     @pytest.mark.parametrize("command", ["validate", "solve"])
     def test_malformed_field_is_io_error(self, tmp_path, mutate, command):

@@ -321,6 +321,17 @@ class TestFileFormat:
         pytest.param(lambda d: d["edges"].append(dict(d["edges"][0], u=d["edges"][0]["v"],
                                                       v=d["edges"][0]["u"])),
                      "edges", id="reversed-repeated-edge"),
+        pytest.param(lambda d: d["requests"][0].update(rate="2"), "requests",
+                     id="rate-as-string"),
+        pytest.param(lambda d: d["edges"][0].update(delay=True), "edges",
+                     id="boolean-delay"),
+        pytest.param(lambda d: d.update(alpha="10"), "alpha", id="alpha-as-string"),
+        pytest.param(lambda d: d["dissimilarity"][0].__setitem__(1, "1.0"),
+                     "dissimilarity", id="string-dissimilarity"),
+        pytest.param(lambda d: d["dissimilarity"][1].__setitem__(0, True),
+                     "dissimilarity", id="boolean-dissimilarity"),
+        pytest.param(lambda d: d.update(dissimilarity={"power_law": {"beta": "3"}}),
+                     "dissimilarity", id="power-law-beta-as-string"),
     ])
     def test_malformed_documents(self, tmp_path, small_scenario, mutate, fragment):
         p = tmp_path / "scenario.json"
@@ -330,6 +341,22 @@ class TestFileFormat:
         p.write_text(json.dumps(doc))
         with pytest.raises(ScenarioFormatError, match=fragment):
             load_scenario(p)
+
+    def test_integers_load_as_floats(self, tmp_path, small_scenario):
+        p = tmp_path / "scenario.json"
+        save_scenario(small_scenario, p)
+        doc = json.loads(p.read_text())
+        doc["edges"][0]["delay"] = 3
+        doc["requests"][0]["rate"] = 2
+        doc["alpha"] = 10
+        doc["dissimilarity"] = [[int(x) for x in row] for row in doc["dissimilarity"]]
+        p.write_text(json.dumps(doc))
+        loaded = load_scenario(p)
+        assert loaded.network.delays[min(loaded.network.delays)] == 3.0
+        assert loaded.requests[0].rate == 2.0
+        assert type(loaded.alpha) is float and loaded.alpha == 10.0
+        assert loaded.dissimilarity.dtype == float
+        assert np.array_equal(loaded.dissimilarity, small_scenario.dissimilarity)
 
     def test_invalid_json(self, tmp_path):
         p = tmp_path / "broken.json"
