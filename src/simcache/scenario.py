@@ -181,14 +181,10 @@ def with_capacity(s: Scenario, capacity: int) -> Scenario:
 # -- file format ---------------------------------------------------------
 
 
-_encode = json.JSONEncoder().encode
-_encode_row = json.JSONEncoder(separators=(",\n   ", ": ")).encode  # one row a line
-
-
 def _json_numbers(values: list) -> list:
     """Each number as json writes it (float repr, NaN, Infinity), from one
-    call of the C encoder."""
-    return _encode(values)[1:-1].split(", ") if values else []
+    call of the C encoder; no number's text holds the ", " it splits on."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
 
 
 def _layout(items: list, depth: int, brackets: str = "[]") -> str:
@@ -229,7 +225,8 @@ def save_scenario(s: Scenario, path) -> None:
         rows = np.asarray(s.dissimilarity, dtype=float)
         fh.write(',\n "dissimilarity": ' + ("[" if len(rows) else "[]"))
         for i, row in enumerate(rows):
-            text = _encode_row(row.tolist())[1:-1]
+            # one entry a line at the row's indent, from the C encoder
+            text = json.dumps(row.tolist(), separators=(",\n   ", ": "))[1:-1]
             fh.write(("," if i else "") + "\n  " + _layout([text] if text else [], 2))
         fh.write(("\n ]" if len(rows) else "") + ',\n "alpha": '
                  + _json_numbers([s.alpha])[0] + "\n}\n")

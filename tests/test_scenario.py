@@ -263,6 +263,13 @@ class TestFileFormat:
         pytest.param(lambda: generate_scenario(GenConfig(beta=0.0)), id="beta-0"),
         pytest.param(lambda: generate_scenario(GenConfig(
             nodes_side=3, num_origins=4, seed=3)), id="grid-3x3"),
+        pytest.param(lambda: generate_scenario(GenConfig(nodes_side=1, num_origins=1)),
+                     id="grid-1x1-no-edges"),
+        pytest.param(lambda: Scenario(
+            catalog=Catalog(1), network=Network(num_nodes=1, delays={}),
+            sources=(frozenset(),), requests=(Request(0, Path(()), 3),),
+            dissimilarity=np.zeros((1, 1), dtype=int), capacities=np.zeros(1, dtype=int),
+            alpha=1), id="empty-lists-and-integers"),
         pytest.param(lambda: awkward_scenario(np.inf), id="awkward-alpha-inf"),
         pytest.param(lambda: awkward_scenario(np.nan), id="awkward-alpha-nan"),
     ])
