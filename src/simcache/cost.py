@@ -11,6 +11,11 @@ returns the `PathTerms` of iterate X: T and A at each request's start
 node, and each node's bracket W(u) = [tau(u) + T(parent) | A(parent)],
 from which the gradients take dL/dx.  Every cost quantity is defined on
 `PathTerms`; the tests check them against per-term oracles.
+
+A `PathTerms` owns its arrays, and the caller of `evaluate` owns the
+terms.  `evaluate(X, out=terms)`, like numpy's ``out=``, overwrites
+``terms`` in place with those of X and changes no other terms, so a solver
+loop refills one set per iterate; the level loop's [T | A] is temporary.
 """
 
 from __future__ import annotations
@@ -68,20 +73,28 @@ class PathGeometry:
         # dissimilarity row of each request's content: (R, F)
         self.d_rows = s.dissimilarity[self.req_content, :].copy()
 
-    def evaluate(self, X: np.ndarray) -> PathTerms:
-        """The path terms of caching iterate X; the only gather of (1 - x)."""
-        N, F = self.node.size, X.shape[1]
-        Y = X[self.node_rows].reshape(N, 2, F)  # 1 - x, once for each block
+    def evaluate(self, X: np.ndarray, out: PathTerms | None = None) -> PathTerms:
+        """The path terms of caching iterate X; the only gather of (1 - x).
+        ``out``, terms of this geometry that the caller no longer reads, is
+        overwritten in place and returned; without it, new terms are filled."""
+        N, R, F = self.node.size, self.start.size, X.shape[1]
+        if out is None:
+            out = PathTerms(self, np.empty((N, 2, F)), np.empty((N, 2, F)),
+                            np.empty((R, F)), np.empty((R, F)))
+        out.__dict__.pop("costs", None)  # formed afresh at the new X
+        Y, W = out.Y, out.W
+        X.take(self.node_rows, 0, Y.reshape(2 * N, F), 'clip')  # 1 - x, once for each block
         np.subtract(1.0, Y, out=Y)
         Z = np.empty((N + 1, 2, F))  # [T | A], then the sentinel row [0 | 1]
         Z[N, 0], Z[N, 1] = 0.0, 1.0
-        W = np.empty((N, 2, F))
         for a, b, parents, tau in self.levels:
             w = W[a:b]
             Z.take(parents, 0, w, 'clip')  # parents are in range; 'clip' skips a buffer
             np.add(w, tau, out=w)
             np.multiply(w, Y[a:b], out=Z[a:b])
-        return PathTerms(self, Y, W, Z[self.start, 0], Z[self.start, 1])
+        Z[:, 0].take(self.start, 0, out.delays, 'clip')
+        Z[:, 1].take(self.start, 0, out.avail, 'clip')
+        return out
 
     def delays(self, X: np.ndarray) -> np.ndarray:
         """(R, F) matrix of delivery delays t_{(f,p),f'}(X)."""

@@ -166,7 +166,9 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     iteration budget runs out, then round greedily.  One iterate steps X
     and Q at the last path terms, evaluates the new ones once, takes the
     dual step there, and forms its violations and objective once each for
-    the Lagrangian and the trace row; each product is built once."""
+    the mu-gradient, the Lagrangian and the trace row; each product is
+    built once.  One set of path terms is refilled in place for every
+    iterate, then for the rounded caching."""
     cfg = cfg or SolverConfig()
     geom = PathGeometry(s)
     S = initial_state(s, cfg)
@@ -178,9 +180,10 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     n = 0
     for n in range(1, cfg.max_iters + 1):
         S = primal_step(terms, S, mu, cfg)
-        terms = geom.evaluate(S.X)
-        mu = dual_step(mu, grad_mu(terms, S.Q), n, cfg.eta_mu)
-        h, objective, m = terms.violations(S.Q), terms.objective(S.Q), mu.ravel()
+        terms = geom.evaluate(S.X, out=terms)
+        h = terms.violations(S.Q)
+        mu = dual_step(mu, grad_mu(terms, S.Q, h=h), n, cfg.eta_mu)
+        objective, m = terms.objective(S.Q), mu.ravel()
         L = terms.lagrangian(S.Q, mu, objective, h)
         trace.rows.append((n, L, objective, terms.expected_delay(S.Q),
                            terms.dissimilarity_cost(S.Q), float(h.max()) if h.size else 0.0,
@@ -192,7 +195,7 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     trace.stop_reason = stop_reason
     trace.iterations = n
     X_int = round_caching(s, S.X)
-    int_terms = geom.evaluate(X_int)
+    int_terms = geom.evaluate(X_int, out=terms)
     rounded = evaluate_integer(int_terms, X_int, round_delivery(int_terms, S.Q))
     return SolveResult(fractional=S, dual=mu, rounded=rounded, trace=trace)
 

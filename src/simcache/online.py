@@ -9,10 +9,11 @@ offline projected primal step and the dual update ``hibsa.dual_step``
 The dual update takes the mu-gradient at the iterate that served the slot,
 before the primal step, while the offline solver takes it at the fresh
 iterate.  Path terms are evaluated once per new iterate and per new
-rounded caching.  By default both primal blocks, caching (eta_x) and
-delivery (eta_q), take the offline step size ``SolverConfig.eta_s``.
-Since an arrival count has expectation rate * T, the estimates are
-unbiased for the analytic gradients at the current state.
+rounded caching, each into one set of terms that the run refills in
+place.  By default both primal blocks, caching (eta_x) and delivery
+(eta_q), take the offline step size ``SolverConfig.eta_s``.  Since an
+arrival count has expectation rate * T, the estimates are unbiased for
+the analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws.
@@ -183,13 +184,13 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
         gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length)
         S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
-        terms = geom.evaluate(S.X)
+        terms = geom.evaluate(S.X, out=terms)
 
         X_new = round_caching(s, S.X)
         churn = int(np.count_nonzero(X_new != X_int))
         if churn:  # an unchanged rounded caching keeps its array and path terms
             X_int = _read_only(X_new)
-            int_terms = geom.evaluate(X_int)
+            int_terms = geom.evaluate(X_int, out=int_terms)
         Q_new = round_delivery(int_terms, S.Q)
         Q_changed = (Q_new != Q_int).any()
         if Q_changed:

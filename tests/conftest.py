@@ -6,6 +6,9 @@ from simcache.model import Catalog, Network, Path, Request, Scenario
 from simcache.projection import project_cache_matrix, project_delivery_matrix
 from simcache.scenario import GenConfig, generate_scenario
 
+# GenConfig fields of the mid-size instances (400 requests, 100 contents)
+MID = dict(nodes_side=10, num_contents=100, num_requests=400, num_origins=40, capacity=5)
+
 
 def make_line_scenario(taus=(2.0, 5.0), num_contents=2, capacity=1,
                        alpha=1.0, rate=1.0, content=0, dissimilarity=None):
@@ -86,9 +89,16 @@ def evaluations(monkeypatch):
     calls = []
     evaluate = PathGeometry.evaluate
 
-    def counted(self, X):
+    def counted(self, X, out=None):
         calls.append(X)
-        return evaluate(self, X)
+        return evaluate(self, X, out)
 
     monkeypatch.setattr(PathGeometry, "evaluate", counted)
     return calls
+
+
+def allocate_every_evaluation(monkeypatch):
+    """Make `PathGeometry.evaluate` ignore ``out``, so that every call
+    returns freshly allocated terms and none is refilled."""
+    evaluate = PathGeometry.evaluate
+    monkeypatch.setattr(PathGeometry, "evaluate", lambda self, X, out=None: evaluate(self, X))

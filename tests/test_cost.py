@@ -10,11 +10,10 @@ from simcache.gradients import grad_x
 from simcache.model import Catalog, Network, Path, Request, Scenario
 from simcache.scenario import GenConfig, generate_scenario
 
-from conftest import make_line_scenario, random_box_state
+from conftest import MID, make_line_scenario, random_box_state
 from oracles import (oracle_delay, oracle_h, oracle_lagrangian, oracle_objective,
                      padded_path_oracle)
 
-MID = dict(nodes_side=10, num_contents=100, num_requests=400, num_origins=40, capacity=5)
 BIG = dict(nodes_side=20, num_contents=300, num_requests=2000, num_origins=100, capacity=10)
 
 
@@ -206,6 +205,51 @@ class TestBatchGeometry:
                 assert t[r, f] == pytest.approx(oracle_delay(s, S.X, r, f))
                 ref = oracle_h(s, S.X, np.ones_like(S.Q), r, f)
                 assert avail[r, f] == pytest.approx(ref)
+
+
+TERM_ARRAYS = ("Y", "W", "delays", "avail")
+
+
+class TestTermsReuse:
+    @pytest.fixture(params=["line", "default", "mid"])
+    def scenario(self, request):
+        if request.param == "line":
+            return make_line_scenario(num_contents=3)
+        return generate_scenario(GenConfig(seed=0, **({} if request.param == "default" else MID)))
+
+    def test_refill_equals_fresh_evaluation(self, scenario):
+        s = scenario
+        geom = PathGeometry(s)
+        rng = np.random.default_rng(3)
+        X1, X2 = rng.uniform(size=(2, s.num_nodes, s.num_contents))
+        X2[:, 0] = 1.0  # a fully cached content zeroes its delays
+        Q = rng.uniform(size=(s.num_requests, s.num_contents))
+        terms = geom.evaluate(X1)
+        before = terms.costs.copy()  # read, and so cached, at X1
+        owned = [getattr(terms, k) for k in TERM_ARRAYS]
+        assert geom.evaluate(X2, out=terms) is terms
+        assert all(getattr(terms, k) is a for k, a in zip(TERM_ARRAYS, owned))
+        fresh = geom.evaluate(X2)
+        for k in TERM_ARRAYS + ("costs",):
+            assert getattr(terms, k).tobytes() == getattr(fresh, k).tobytes(), k
+        assert not np.array_equal(terms.costs, before)
+        assert terms.objective(Q) == fresh.objective(Q)
+
+    def test_other_terms_are_never_changed(self, scenario):
+        s = scenario
+        geom = PathGeometry(s)
+        rng = np.random.default_rng(4)
+        X1, X2, X3 = rng.uniform(size=(3, s.num_nodes, s.num_contents))
+        kept = geom.evaluate(X1)
+        kept_costs = kept.costs
+        copies = {k: getattr(kept, k).copy() for k in TERM_ARRAYS + ("costs",)}
+        other = geom.evaluate(X2)
+        other.costs  # cached at X2, dropped by the refill
+        geom.evaluate(X3, out=other)
+        geom.evaluate(X2)
+        assert kept.costs is kept_costs
+        for k, a in copies.items():
+            assert getattr(kept, k).tobytes() == a.tobytes(), k
 
 
 @st.composite

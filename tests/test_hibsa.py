@@ -12,7 +12,7 @@ from simcache.hibsa import (TRACE_COLUMNS, SolverConfig, dual_step,
 from simcache.model import Catalog, Network, Scenario
 from simcache.scenario import GenConfig, generate_scenario, with_alpha
 
-from conftest import make_line_scenario, make_tiny_scenario
+from conftest import MID, allocate_every_evaluation, make_line_scenario, make_tiny_scenario
 from oracles import enumerate_integer_optimum, oracle_h, oracle_round_caching
 
 
@@ -308,6 +308,26 @@ class TestSolveOffline:
             assert res.trace.stop_reason == "max_iters"
             # the start and the n iterates, then the rounded caching
             assert len(evaluations) == (n + 1) + 1
+
+    @pytest.mark.parametrize("seed,alpha,pin_delivery,size,max_iters", [
+        *(pytest.param(seed, alpha, False, {}, 1500, id=f"seed{seed}-alpha{alpha:g}")
+          for seed in (0, 1, 2) for alpha in (1.0, 10.0, 100.0)),
+        *(pytest.param(seed, 10.0, True, {}, 1500, id=f"seed{seed}-adaptive")
+          for seed in (0, 1, 2)),
+        pytest.param(0, 10.0, False, MID, 10, id="mid-seed0")])
+    def test_refilled_terms_give_the_fresh_solve(self, seed, alpha, pin_delivery, size,
+                                                  max_iters, monkeypatch):
+        s = generate_scenario(GenConfig(seed=seed, alpha=alpha, **size))
+        cfg = SolverConfig(max_iters=max_iters, pin_delivery=pin_delivery)
+        a = solve_offline(s, cfg)
+        allocate_every_evaluation(monkeypatch)
+        b = solve_offline(s, cfg)
+        assert a.trace.stop_reason == b.trace.stop_reason
+        assert list(map(repr, a.trace.rows)) == list(map(repr, b.trace.rows))
+        for x, y in ((a.fractional.X, b.fractional.X), (a.fractional.Q, b.fractional.Q),
+                     (a.dual, b.dual), (a.rounded.X, b.rounded.X), (a.rounded.Q, b.rounded.Q)):
+            assert x.tobytes() == y.tobytes()
+        assert repr(a.rounded) == repr(b.rounded)
 
     def test_fractional_iterate_feasible(self, small_scenario):
         s = small_scenario

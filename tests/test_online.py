@@ -10,8 +10,9 @@ from simcache.hibsa import (SolverConfig, dual_step, initial_state,
                             projected_primal_update, round_caching, round_delivery)
 from simcache.online import (BLOCK_SLOTS, OnlineConfig, RequestStreams, run_online,
                              stochastic_gradients)
+from simcache.scenario import GenConfig, generate_scenario
 
-from conftest import make_line_scenario
+from conftest import MID, allocate_every_evaluation, make_line_scenario
 from oracles import oracle_delay
 
 
@@ -208,6 +209,28 @@ class TestRunOnline:
         _, _, gmu_next = stochastic_gradients(geom.evaluate(S_next.X), S_next.Q, mu, counts,
                                               cfg.slot_length)
         assert not np.array_equal(res.final_dual, dual_step(mu, gmu_next, 1, cfg.eta_mu))
+
+    @pytest.mark.parametrize("seed,size,slots", [
+        *(pytest.param(seed, {}, 500, id=f"seed{seed}") for seed in (0, 1, 2)),
+        pytest.param(0, MID, 10, id="mid-seed0")])
+    def test_refilled_terms_give_the_fresh_run(self, seed, size, slots, monkeypatch):
+        s = generate_scenario(GenConfig(seed=seed, **size))
+        cfg = OnlineConfig(num_slots=slots, seed=seed)
+        a = run_online(s, cfg)
+        allocate_every_evaluation(monkeypatch)
+        b = run_online(s, cfg)
+        assert sum(o.cache_churn > 0 for o in a.outcomes) > 1  # the rounded terms are refilled
+
+        def record(o):
+            return (repr((o.slot, o.triples, o.windowed_delay, o.windowed_dissimilarity,
+                          o.lagrangian, o.cache_churn)),
+                    o.X_rounded.tobytes(), o.Q_rounded.tobytes())
+
+        for oa, ob in zip(a.outcomes, b.outcomes, strict=True):
+            assert record(oa) == record(ob), oa.slot
+        for x, y in ((a.final_state.X, b.final_state.X), (a.final_state.Q, b.final_state.Q),
+                     (a.final_dual, b.final_dual)):
+            assert x.tobytes() == y.tobytes()
 
     def test_at_most_two_evaluations_per_slot(self, small_scenario, evaluations):
         for k in (3, 6):
