@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .model import Scenario
+from .model import Scenario, edge_key
 
 
 @dataclass
@@ -41,30 +42,61 @@ class PathGeometry:
     ``tau[u]`` and ``parent[u]`` (the sentinel N at a terminal).  Nodes are
     numbered level by level from the terminals, siblings contiguous, so
     each level is a slice whose parents lie in the level before; request r
-    starts at trie node ``start[r]``."""
+    starts at trie node ``start[r]``.
+
+    The numbering is that of the suffixes sorted by (length, reversed
+    suffix).  Within one length that order is the order of (parent number,
+    node), so each level is one ``np.unique`` over ``parent * V + node``
+    for the paths that reach it, the parent numbered within its level: the
+    sorted keys are the level's trie nodes and the inverse is each path's
+    node there.  tau comes from a dense (V, V) lookup of the edges."""
 
     def __init__(self, s: Scenario):
         self.scenario = s
-        F = s.num_contents
+        F, V = s.num_contents, s.num_nodes
         lane = np.arange(2 * F)  # the entries of one trie node's row [T | A]
-        # by length, then reversed: each level after its parents', siblings together
-        suffixes = sorted({p[j:] for p in (r.path.nodes for r in s.requests)
-                           for j in range(len(p))}, key=lambda t: (len(t), t[::-1]))
-        index = {t: u for u, t in enumerate(suffixes)}
-        index[()] = N = len(suffixes)
-        self.node = np.array([t[0] for t in suffixes], dtype=np.intp)
-        self.parent = np.array([index[t[1:]] for t in suffixes], dtype=np.intp)
-        self.tau = np.array([s.network.delay(*t[:2]) if len(t) > 1 else 0.0 for t in suffixes])
-        self.start = np.array([index[r.path.nodes] for r in s.requests], dtype=np.intp)
+        paths = [r.path.nodes for r in s.requests]
+        lengths = np.array([len(p) for p in paths], dtype=np.intp)
+        flat = np.fromiter(chain.from_iterable(paths), np.intp, int(lengths.sum()))
+        order = np.argsort(-lengths, kind="stable")  # so the paths reaching a level are a prefix
+        last = (lengths.cumsum() - 1)[order]  # each path's terminal node in flat, in that order
+        # the number of paths that reach each level, then 0
+        reach = np.append(np.bincount(lengths)[::-1].cumsum()[::-1][1:], 0)
+        # per level: network nodes and parents numbered within the level before
+        node, local, bounds = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [0]
+        self.start = np.zeros(len(paths), dtype=np.intp)
+        up = np.zeros(reach[0], dtype=np.intp)  # each path's trie node a level up, within it
+        for depth, n in enumerate(reach[:-1]):
+            keys, up = np.unique(up[:n] * V + flat[last[:n] - depth], return_inverse=True)
+            node.append(keys % V)
+            local.append(keys // V)
+            self.start[order[reach[depth + 1]:n]] = bounds[-1] + up[reach[depth + 1]:n]
+            bounds.append(bounds[-1] + keys.size)
+        N, terminals = bounds[-1], bounds[min(1, len(bounds) - 1)]
+        self.start[lengths == 0] = N  # an empty path starts at the sentinel
+        self.node, local = np.concatenate(node), np.concatenate(local)
+        # a level's parents are numbered from the first of the level before; N at the terminals
+        self.parent = local + np.repeat(np.array([N, *bounds[:-2]], np.intp)[:len(bounds) - 1],
+                                        np.diff(bounds))
+        edges = list(s.network.delays)  # dense lookup of each hop's edge, len(edges) if none
+        edge = np.full((V, V), len(edges))
+        (u, v), ids = np.array(edges, dtype=np.intp).reshape(-1, 2).T, np.arange(len(edges))
+        edge[u, v] = edge[v, u] = ids
+        hops = edge[self.node[terminals:], self.node[self.parent[terminals:]]]
+        if hops.size and hops.max() == len(edges):  # a KeyError, as from Network.delay
+            bad = terminals + hops.argmax()
+            raise KeyError(edge_key(int(self.node[bad]), int(self.node[self.parent[bad]])))
+        delay = np.array(list(s.network.delays.values()), dtype=float)
+        self.tau = np.concatenate([np.zeros(terminals), delay[hops]])
         self.node_rows = self.node.repeat(2)
-        bounds = [0, *np.cumsum(np.bincount(np.array([len(t) for t in suffixes], dtype=int))[1:])]
         # (first, end, parents, [tau | 0] as (n, 2, 1)) of each level, terminals first
         tau = np.stack([self.tau, np.zeros(N)], axis=1)[:, :, None]
         self.levels = [(a, b, self.parent[a:b], tau[a:b]) for a, b in zip(bounds, bounds[1:])]
         # levels below the terminals, deepest first: flat slices of it and its parents, index
-        self.pushes = [(2 * F * a, 2 * F * b, 2 * F * pa, 2 * F * pb,
-                        ((self.parent[a:b] - pa)[:, None] * 2 * F + lane).ravel())
-                       for (pa, pb, *_), (a, b, *_) in zip(self.levels, self.levels[1:])][::-1]
+        rows = local[terminals:, None] * 2 * F + lane  # one block for every level's index
+        self.pushes = [(2 * F * a, 2 * F * b, 2 * F * pa, 2 * F * a,
+                        rows[a - terminals:b - terminals].ravel())
+                       for pa, a, b in zip(bounds, bounds[1:], bounds[2:])][::-1]
         # flat index of (trie node, content) into (V, F), of start rows into (N, 2, F)
         self.node_content_index = (self.node[:, None] * F + lane[:F]).ravel()
         self.start_index = (self.start[:, None] * 2 * F + lane).ravel()

@@ -37,6 +37,7 @@ def x_position_contributions(terms: PathTerms, Q: np.ndarray,
     np.multiply(mu, np.negative(Q, out=seed[:, 0]), out=seed[:, 1])
     BC = np.bincount(geom.start_index, weights=seed.ravel(),
                      minlength=N * 2 * F).astype(float, copy=False)  # ints if no requests
+    del seed  # not live at the peak below
     for a, b, pa, pb, index in geom.pushes:
         BC[pa:pb] += np.bincount(index, weights=BC[a:b] * Y[a:b], minlength=pb - pa)
     BC = BC.reshape(N, 2, F)

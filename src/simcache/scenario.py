@@ -8,15 +8,23 @@ shortest paths with ties broken toward the smaller node sequence.  They
 come from one search per distinct origin, which settles every source that
 origin's requests need.  Up to a node's first pop that search makes the
 same pops as a search for that node alone, so each path, its tie-break and
-its float length are those of a separate per-request search.
+its float length are those of a separate per-request search.  The search
+keeps its per-node state in lists indexed by node id.
+
+The file writer lays the document out itself, with the bytes that
+``json.dump`` writes; it forms the text of each distinct dissimilarity
+value once.  The reader turns every malformed document into a
+ScenarioFormatError that names the key.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -102,27 +110,33 @@ def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
     that settle nodes, and with them the tie rule, are those of a search
     that pushes every entry.  The pops up to a destination's first one do
     not depend on the other destinations, so each path is the one a search
-    for that destination alone returns.
+    for that destination alone returns.  The settled flags and the smallest
+    pushed distances are lists indexed by node id (the nodes of
+    ``neighbours`` are 0..V-1); the heap entries, the tie rule and the float
+    sums of the lengths are those of a search that keeps them in a set and
+    a dict.
     """
     todo = set(dsts)
     paths = {}
-    done = set()
-    shortest = {src: 0.0}  # node -> smallest distance pushed for it
+    done = [False] * len(neighbours)
+    shortest = [np.inf] * len(neighbours)  # smallest distance pushed for each node
+    shortest[src] = 0.0
     heap = [(0.0, (src,))]
+    pop, push = heapq.heappop, heapq.heappush
     while heap and todo:
-        dist, path = heapq.heappop(heap)
+        dist, path = pop(heap)
         node = path[-1]
-        if node in done:
+        if done[node]:
             continue
-        done.add(node)
+        done[node] = True
         if node in todo:
             todo.remove(node)
             paths[node] = path
         for w, tau in neighbours[node]:
             d = dist + tau
-            if d <= shortest.get(w, np.inf):
+            if d <= shortest[w]:
                 shortest[w] = d
-                heapq.heappush(heap, (d, path + (w,)))
+                push(heap, (d, path + (w,)))
     if todo:
         raise ValueError(f"no path from {src} to {min(todo)}")
     return paths
@@ -142,11 +156,11 @@ def generate_scenario(g: GenConfig) -> Scenario:
 
     # Generator.choice(F, p=probs) forms this CDF and looks up one uniform
     cdf = zipf_probabilities(g.num_contents, g.rho).cumsum()
-    cdf /= cdf[-1]
+    cdf = (cdf / cdf[-1]).tolist()
     draws = []  # (content, origin, source node) per request
     wanted: dict[int, set] = {}  # origin -> the source nodes its requests need
     for _ in range(g.num_requests):
-        f = int(cdf.searchsorted(rng.random(), side="right"))
+        f = bisect_right(cdf, rng.random())  # as searchsorted(side="right")
         origin = int(origins[rng.integers(0, len(origins))])
         src_node = min(sources[f])
         draws.append((f, origin, src_node))
@@ -201,7 +215,9 @@ def save_scenario(s: Scenario, path) -> None:
 
     The file holds the bytes of ``json.dump(doc, fh, indent=1)`` and a
     newline, laid out here from the document's fixed shape and written
-    section by section, the dissimilarity matrix row by row.
+    section by section.  The dissimilarity matrix is laid out from the text
+    of each distinct value, formed once; values are told apart by their
+    bits, so -0.0 keeps its sign next to 0.0.
     """
     edges = sorted(s.network.delays.items())
     delays = _json_numbers([tau for _, tau in edges])
@@ -219,17 +235,17 @@ def save_scenario(s: Scenario, path) -> None:
             f'"v{v}": {int(c)}' for v, c in enumerate(s.capacities)], 1, "{}"))
         fh.write(',\n "requests": ' + _layout([
             f'{{\n   "content": "f{r.content}",\n   "path": '
-            + _layout([f'"v{v}"' for v in r.path.nodes], 3)
+            + ('[\n    "v' + '",\n    "v'.join(map(str, r.path.nodes)) + '"\n   ]'
+               if r.path.nodes else "[]")  # _layout of the names, by one join
             + f',\n   "rate": {rate}\n  }}'
             for r, rate in zip(s.requests, rates)], 1))
-        rows = np.asarray(s.dissimilarity, dtype=float)
-        fh.write(',\n "dissimilarity": ' + ("[" if len(rows) else "[]"))
-        for i, row in enumerate(rows):
-            # one entry a line at the row's indent, from the C encoder
-            text = json.dumps(row.tolist(), separators=(",\n   ", ": "))[1:-1]
-            fh.write(("," if i else "") + "\n  " + _layout([text] if text else [], 2))
-        fh.write(("\n ]" if len(rows) else "") + ',\n "alpha": '
-                 + _json_numbers([s.alpha])[0] + "\n}\n")
+        d = np.asarray(s.dissimilarity, dtype=float)
+        bits, inverse = np.unique(d.view(np.int64).ravel(), return_inverse=True)
+        texts = np.array(_json_numbers(bits.view(float).tolist()), dtype=object)
+        rows = texts[inverse].reshape(d.shape).tolist()
+        fh.write(',\n "dissimilarity": ' + _layout(
+            [_layout(row, 2) for row in rows], 1) + ',\n "alpha": '
+            + _json_numbers([s.alpha])[0] + "\n}\n")
 
 
 def _require(doc: dict, key: str):
@@ -313,7 +329,7 @@ def load_scenario(path) -> Scenario:
             f, p, rate = r["content"], r["path"], r["rate"]
             requests.append(Request(
                 content=content_index[f],
-                path=Path(tuple(node_index[v] for v in p)),
+                path=Path(tuple(map(node_index.__getitem__, p))),
                 rate=_number(rate),
             ))
 
@@ -326,10 +342,7 @@ def load_scenario(path) -> Scenario:
                     "'dissimilarity' object must be {'power_law': {'beta': ...}}")
             dissimilarity = power_law_dissimilarity(F, _number(d_doc["power_law"]["beta"]))
         else:
-            kinds = set()
-            for row in d_doc:
-                kinds.update(map(type, row))
-            if not kinds <= {int, float}:
+            if not set(map(type, chain.from_iterable(d_doc))) <= {int, float}:
                 raise ScenarioFormatError("an entry of 'dissimilarity' is no number")
             dissimilarity = np.array(d_doc, dtype=float)
             if dissimilarity.shape != (F, F):

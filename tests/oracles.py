@@ -7,6 +7,7 @@ helpers at the end of the file are the exception: they call the package's
 Lagrangian and matrix projections, and only the tests use them.
 """
 
+import heapq
 import json
 from itertools import combinations, product
 
@@ -114,6 +115,49 @@ def padded_path_oracle(s, X, Q, mu, weights=None):
     gX = np.zeros((s.num_nodes, F))
     np.add.at(gX, nodes.ravel(), H.reshape(-1, F))
     return delays, CP[:, -1], gX
+
+
+def oracle_shortest_paths(neighbours, src, dsts):
+    """{dst: shortest path from src}: Dijkstra over (distance, path) heap
+    entries, equal distances popped in node-sequence order, with its state
+    in a set and a dict; the search ``scenario.shortest_paths`` must match."""
+    todo = set(dsts)
+    paths = {}
+    done = set()
+    shortest = {src: 0.0}
+    heap = [(0.0, (src,))]
+    while heap and todo:
+        dist, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue
+        done.add(node)
+        if node in todo:
+            todo.remove(node)
+            paths[node] = path
+        for w, tau in neighbours[node]:
+            d = dist + tau
+            if d <= shortest.get(w, np.inf):
+                shortest[w] = d
+                heapq.heappush(heap, (d, path + (w,)))
+    if todo:
+        raise ValueError(f"no path from {src} to {min(todo)}")
+    return paths
+
+
+def oracle_suffix_trie(s):
+    """(node, parent, tau, start, level bounds) of the suffix trie, from
+    the set of path suffix tuples sorted by length, then reversed tuple."""
+    suffixes = sorted({p[j:] for p in (r.path.nodes for r in s.requests)
+                       for j in range(len(p))}, key=lambda t: (len(t), t[::-1]))
+    index = {t: u for u, t in enumerate(suffixes)}
+    index[()] = len(suffixes)
+    node = np.array([t[0] for t in suffixes], dtype=np.intp)
+    parent = np.array([index[t[1:]] for t in suffixes], dtype=np.intp)
+    tau = np.array([s.network.delay(*t[:2]) if len(t) > 1 else 0.0 for t in suffixes])
+    start = np.array([index[r.path.nodes] for r in s.requests], dtype=np.intp)
+    sizes = np.bincount(np.array([len(t) for t in suffixes], dtype=int))[1:]
+    return node, parent, tau, start, [0, *np.cumsum(sizes).tolist()]
 
 
 def reference_scenario_bytes(s):

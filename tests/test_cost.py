@@ -12,7 +12,7 @@ from simcache.scenario import GenConfig, generate_scenario
 
 from conftest import MID, make_line_scenario, random_box_state
 from oracles import (oracle_delay, oracle_h, oracle_lagrangian, oracle_objective,
-                     padded_path_oracle)
+                     oracle_suffix_trie, padded_path_oracle)
 
 BIG = dict(nodes_side=20, num_contents=300, num_requests=2000, num_origins=100, capacity=10)
 
@@ -290,26 +290,66 @@ generated_scenarios = st.builds(
     st.sampled_from([{}, MID]), st.integers(0, 20))
 
 
+def hand_trie_scenario(*paths):
+    """One content at node 3 of a five-node tree, one request per path."""
+    return Scenario(
+        catalog=Catalog(1),
+        network=Network(5, {(0, 1): 2.0, (1, 2): 5.0, (2, 3): 1.5, (2, 4): 3.0}),
+        sources=(frozenset({3}),),
+        requests=tuple(Request(0, Path(p), 1.0) for p in paths),
+        dissimilarity=np.zeros((1, 1)),
+        capacities=np.ones(5, dtype=int),
+        alpha=1.0,
+    )
+
+
+SHARED_SUFFIXES = ((0, 1, 2, 3), (4, 2, 3), (0, 1, 2, 3), (3,))
+
+
+def assert_numbered_as_sorted_suffixes(s):
+    """The trie arrays, byte for byte, and the level bounds of the oracle's
+    sort of the path suffixes by length, then reversed tuple."""
+    geom = PathGeometry(s)
+    node, parent, tau, start, bounds = oracle_suffix_trie(s)
+    for got, want in ((geom.node, node), (geom.parent, parent), (geom.tau, tau),
+                      (geom.start, start)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert [(a, b) for a, b, *_ in geom.levels] == list(zip(bounds, bounds[1:]))
+
+
 class TestSuffixTrie:
     def test_shared_suffixes_share_nodes(self):
         # paths 0-1-2-3 and 4-2-3 share the suffix 2-3; 3 alone is the terminal
-        s = Scenario(
-            catalog=Catalog(1),
-            network=Network(5, {(0, 1): 2.0, (1, 2): 5.0, (2, 3): 1.5, (2, 4): 3.0}),
-            sources=(frozenset({3}),),
-            requests=(Request(0, Path((0, 1, 2, 3)), 1.0), Request(0, Path((4, 2, 3)), 1.0),
-                      Request(0, Path((0, 1, 2, 3)), 2.0), Request(0, Path((3,)), 1.0)),
-            dissimilarity=np.zeros((1, 1)),
-            capacities=np.ones(5, dtype=int),
-            alpha=1.0,
-        )
-        geom = PathGeometry(s)
+        geom = PathGeometry(hand_trie_scenario(*SHARED_SUFFIXES))
         # levels: (3), (2 3), (1 2 3) and (4 2 3), (0 1 2 3)
         assert geom.node.tolist() == [3, 2, 1, 4, 0]
         assert geom.parent.tolist() == [5, 0, 1, 1, 2]
         assert geom.tau.tolist() == [0.0, 1.5, 5.0, 3.0, 2.0]
         assert geom.start.tolist() == [4, 3, 4, 0]
         assert [(a, b) for a, b, *_ in geom.levels] == [(0, 1), (1, 2), (2, 4), (4, 5)]
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda seed=seed, topology=topology: generate_scenario(
+            GenConfig(seed=seed, topology=topology)), id=f"{topology}-{seed}")
+          for seed in range(3) for topology in ("grid", "torus")),
+        *(pytest.param(lambda seed=seed: generate_scenario(GenConfig(seed=seed, **MID)),
+                       id=f"mid-{seed}") for seed in range(3)),
+        pytest.param(lambda: hand_trie_scenario(*SHARED_SUFFIXES), id="shared-suffixes"),
+        pytest.param(lambda: hand_trie_scenario((3,), (1,), (3,), (4,)), id="one-node-paths"),
+        pytest.param(lambda: hand_trie_scenario(), id="no-requests"),
+        pytest.param(lambda: hand_trie_scenario((), (2, 3)), id="empty-path"),
+    ])
+    def test_numbering_equals_the_sorted_suffixes(self, make):
+        assert_numbered_as_sorted_suffixes(make())
+
+    def test_a_hop_that_is_no_edge_raises(self):
+        with pytest.raises(KeyError):
+            PathGeometry(hand_trie_scenario((4, 2, 3), (0, 3)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree_scenarios())
+    def test_tree_numbering_equals_the_sorted_suffixes(self, s):
+        assert_numbered_as_sorted_suffixes(s)
 
     @pytest.mark.parametrize("size", [{}, MID])
     def test_levels_follow_their_parents(self, size):

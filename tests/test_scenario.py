@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from oracles import reference_scenario_bytes
+from conftest import MID
+from oracles import oracle_shortest_paths, reference_scenario_bytes
 from scipy import stats
 
 from simcache.model import (Catalog, Network, Path, Request, Scenario,
@@ -160,6 +162,38 @@ class TestShortestPath:
             single = shortest_paths(s.network.neighbours(), origin, (src_node,))
             assert r.path.nodes == single[src_node]
 
+    @pytest.mark.parametrize("kw", [
+        *(dict(seed=seed, topology=topology) for seed in range(10)
+          for topology in ("grid", "torus")),
+        *(dict(MID, seed=seed) for seed in range(3)),
+    ])
+    def test_generated_paths_equal_the_dict_search(self, kw):
+        s = generate_scenario(GenConfig(**kw))
+        nbrs, everywhere = s.network.neighbours(), range(s.num_nodes)
+        wanted = {}
+        for r in s.requests:
+            wanted.setdefault(r.path.nodes[0], set()).add(r.path.nodes[-1])
+        found = {origin: oracle_shortest_paths(nbrs, origin, dsts)
+                 for origin, dsts in wanted.items()}
+        for r in s.requests:
+            assert r.path.nodes == found[r.path.nodes[0]][r.path.nodes[-1]]
+        for origin in wanted:
+            assert shortest_paths(nbrs, origin, everywhere) \
+                == oracle_shortest_paths(nbrs, origin, everywhere)
+
+    def test_integer_ties_equal_the_dict_search(self):
+        # 5-node graphs with delays in {1, 2, 3}: many equal-cost routes
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            edges = [(v, v + 1) for v in range(4)]
+            edges += [(u, v) for u in range(5) for v in range(u + 2, 5)
+                      if rng.random() < 0.6]
+            nbrs = Network(num_nodes=5, delays={
+                e: float(rng.integers(1, 4)) for e in edges}).neighbours()
+            src = int(rng.integers(0, 5))
+            dsts = [int(v) for v in rng.choice(5, size=int(rng.integers(1, 6)), replace=False)]
+            assert shortest_paths(nbrs, src, dsts) == oracle_shortest_paths(nbrs, src, dsts)
+
 
 class TestGenerateScenario:
     def test_default_shape(self, default_scenario):
@@ -251,6 +285,12 @@ def awkward_scenario(alpha):
     )
 
 
+def with_dissimilarity(d):
+    """A default-size instance whose catalog fits the matrix d."""
+    d = np.asarray(d, dtype=float)
+    return replace(generate_scenario(GenConfig(num_contents=len(d))), dissimilarity=d)
+
+
 class TestFileFormat:
     @pytest.mark.parametrize("make", [
         *(pytest.param(lambda seed=seed, topology=topology: generate_scenario(
@@ -272,6 +312,13 @@ class TestFileFormat:
             alpha=1), id="empty-lists-and-integers"),
         pytest.param(lambda: awkward_scenario(np.inf), id="awkward-alpha-inf"),
         pytest.param(lambda: awkward_scenario(np.nan), id="awkward-alpha-nan"),
+        pytest.param(lambda: with_dissimilarity([[0.0, -0.0, 0.0], [-0.0, 0.0, 1.0],
+                                                 [0.0, -0.0, -0.0]]), id="signed-zeros"),
+        pytest.param(lambda: with_dissimilarity([[0.0, np.nan, np.inf], [-np.inf, 0.0, -np.nan],
+                                                 [np.inf, np.nan, -np.inf]]),
+                     id="nan-and-infinities"),
+        pytest.param(lambda: with_dissimilarity(
+            np.random.default_rng(5).uniform(-1e3, 1e3, (7, 7))), id="all-distinct"),
     ])
     def test_writes_json_dump_bytes(self, tmp_path, make):
         s = make()
@@ -339,6 +386,14 @@ class TestFileFormat:
                      "dissimilarity", id="boolean-dissimilarity"),
         pytest.param(lambda d: d.update(dissimilarity={"power_law": {"beta": "3"}}),
                      "dissimilarity", id="power-law-beta-as-string"),
+        pytest.param(lambda d: d["dissimilarity"].__setitem__(1, 0.0), "dissimilarity",
+                     id="dissimilarity-row-not-a-list"),
+        pytest.param(lambda d: d["dissimilarity"].__setitem__(1, "0.0"), "dissimilarity",
+                     id="dissimilarity-row-as-string"),
+        pytest.param(lambda d: d["requests"][0].update(path="v0"), "requests",
+                     id="path-as-string"),
+        pytest.param(lambda d: d["requests"][0].update(path=0), "requests",
+                     id="path-not-a-list"),
     ])
     def test_malformed_documents(self, tmp_path, small_scenario, mutate, fragment):
         p = tmp_path / "scenario.json"
