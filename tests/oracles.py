@@ -9,12 +9,13 @@ Lagrangian and matrix projections, and only the tests use them.
 
 import heapq
 import json
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
 
 from simcache.cost import PathGeometry, PrimalState
-from simcache.model import Scenario
+from simcache.model import Scenario, edge_key
 from simcache.projection import project_cache_matrix, project_delivery_matrix
 
 
@@ -158,6 +159,61 @@ def oracle_suffix_trie(s):
     start = np.array([index[r.path.nodes] for r in s.requests], dtype=np.intp)
     sizes = np.bincount(np.array([len(t) for t in suffixes], dtype=int))[1:]
     return node, parent, tau, start, [0, *np.cumsum(sizes).tolist()]
+
+
+def oracle_per_cache_run(s, cfg):
+    """(per-slot (slot, num_requests, windowed delay, windowed dissimilarity,
+    churn) tuples, final caches) of the per-cache baseline, by the plain
+    slot loop over every request.  Streams: ``SeedSequence(seed).spawn(R + 1)``,
+    the first R children one Poisson stream per request (drawn here for all
+    slots at once, which gives the same counts as one draw per slot), the
+    last one the insertion stream.  The full-path delay sums the hop delays
+    from the terminal back to the ingress, the order of the trie recursion."""
+    R = s.num_requests
+    children = np.random.SeedSequence(cfg.seed).spawn(R + 1)
+    counts = np.array([np.random.default_rng(ss).poisson(r.rate * cfg.slot_length,
+                                                         size=cfg.num_slots)
+                       for ss, r in zip(children, s.requests)], dtype=int).reshape(R, -1)
+    insert_rng = np.random.default_rng(children[-1])
+    full_path_delay = []
+    for r in s.requests:
+        p, d = r.path.nodes, 0.0
+        for a, b in reversed(list(zip(p, p[1:]))):
+            d = d + s.network.delays[edge_key(a, b)]
+        full_path_delay.append(d)
+    ingress = [r.path.nodes[0] for r in s.requests]
+    caches = {v: deque() for v in sorted(set(ingress))}
+    delay_hist = deque(maxlen=cfg.delay_window)
+    dissim_hist = deque(maxlen=cfg.delay_window)
+    slots = []
+    for t in range(1, cfg.num_slots + 1):
+        slot_delay = slot_dissim = 0.0
+        churn = num = 0
+        for r in range(R):
+            for _ in range(int(counts[r, t - 1])):
+                num += 1
+                f, cache = s.requests[r].content, caches[ingress[r]]
+                f_prime, delay, dis = f, full_path_delay[r], 0.0
+                if cache:
+                    g = min(cache, key=lambda g: (s.dissimilarity[f, g], g))
+                    if s.alpha * float(s.dissimilarity[f, g]) < full_path_delay[r]:
+                        f_prime, delay, dis = g, 0.0, float(s.dissimilarity[f, g])
+                if f_prime in cache:
+                    cache.remove(f_prime)
+                    cache.appendleft(f_prime)
+                slot_delay += delay
+                slot_dissim += dis
+                cap = int(s.capacities[ingress[r]])
+                if cap > 0 and f not in cache and insert_rng.random() < cfg.insert_prob:
+                    if len(cache) >= cap:
+                        cache.pop()
+                    cache.appendleft(f)
+                    churn += 1
+        delay_hist.append(slot_delay)
+        dissim_hist.append(slot_dissim)
+        win = len(delay_hist) * cfg.slot_length
+        slots.append((t, num, sum(delay_hist) / win, sum(dissim_hist) / win, churn))
+    return slots, {v: list(c) for v, c in caches.items()}
 
 
 def reference_scenario_bytes(s):

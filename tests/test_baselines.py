@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from simcache.baselines import (PerCacheConfig, run_per_cache_baseline,
                                 serve_from_cache, solve_adaptive_caching)
 from simcache.hibsa import SolverConfig, identity_delivery
-from simcache.scenario import with_alpha
+from simcache.scenario import GenConfig, generate_scenario, with_alpha
 
 from conftest import make_line_scenario
+from oracles import oracle_per_cache_run
 
 
 class TestAdaptiveCaching:
@@ -113,3 +116,14 @@ class TestPerCacheBaseline:
         for slot in res.slots:
             assert slot.windowed_delay >= 0.0
             assert slot.windowed_dissimilarity >= 0.0
+
+    @pytest.mark.parametrize("rho", [1.2, 0.6])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_slot_record_is_the_plain_loops(self, seed, rho):
+        s = generate_scenario(GenConfig(seed=seed, rho=rho))
+        cfg = PerCacheConfig(num_slots=400, seed=seed)
+        res = run_per_cache_baseline(s, cfg)
+        slots, caches = oracle_per_cache_run(s, cfg)
+        assert sum(slot.cache_churn for slot in res.slots) > 0
+        assert [dataclasses.astuple(slot) for slot in res.slots] == slots
+        assert res.caches == caches

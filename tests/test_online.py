@@ -1,5 +1,7 @@
 import gc
 import tracemalloc
+from collections import deque
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -310,6 +312,28 @@ class TestRunOnline:
             lo = max(0, i - 3)
             window = slot_totals[lo:i + 1]
             assert o.windowed_delay == pytest.approx(sum(window) / len(window))
+
+    @pytest.mark.parametrize("rho", [1.2, 0.6])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_windowed_sums_are_the_slot_totals(self, seed, rho):
+        # each slot total sums count x value per request, in request order
+        s = generate_scenario(GenConfig(seed=seed, rho=rho))
+        cfg = OnlineConfig(num_slots=200, seed=seed, delay_window=7, slot_length=0.5)
+        res = run_online(s, cfg)
+        delay_hist = deque(maxlen=cfg.delay_window)
+        dissim_hist = deque(maxlen=cfg.delay_window)
+        for o in res.outcomes:
+            slot_delay = slot_dissim = 0.0
+            for _, run in groupby(o.triples, key=lambda t: t[0]):
+                run = list(run)
+                slot_delay += len(run) * run[0][2]
+                slot_dissim += len(run) * run[0][3]
+            delay_hist.append(slot_delay)
+            dissim_hist.append(slot_dissim)
+            win = len(delay_hist) * cfg.slot_length
+            assert o.windowed_delay == sum(delay_hist) / win, o.slot
+            assert o.windowed_dissimilarity == sum(dissim_hist) / win, o.slot
+        assert any(o.windowed_dissimilarity > 0 for o in res.outcomes)
 
     def test_learns_to_cache_on_line(self):
         s = make_line_scenario(taus=(4.0, 9.0), rate=5.0, alpha=10.0)
