@@ -3,6 +3,5 @@
 __version__ = "0.1.0"
 
 from .cost import PrimalState  # noqa: F401
-from .model import (Catalog, Network, Path, Request, Scenario,  # noqa: F401
-                    validate_scenario)
+from .model import Network, Path, Request, Scenario, validate_scenario  # noqa: F401
 from .scenario import GenConfig, generate_scenario, load_scenario, save_scenario  # noqa: F401

@@ -23,7 +23,7 @@ import numpy as np
 from .cost import PathGeometry
 from .hibsa import SolveResult, SolverConfig, solve_offline
 from .model import Scenario
-from .online import RequestStreams, SlotConfig
+from .online import RequestStreams, SlotConfig, SlotWindow
 
 
 def solve_adaptive_caching(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
@@ -82,52 +82,40 @@ def run_per_cache_baseline(s: Scenario, cfg: PerCacheConfig) -> PerCacheResult:
     """
     geom = PathGeometry(s)
     streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
-    insert_rng = np.random.default_rng(
-        np.random.SeedSequence(cfg.seed).spawn(s.num_requests + 1)[-1])
+    insert_rng = np.random.default_rng(streams.root.spawn(1)[0])
 
-    full_path_delay = geom.delays(np.zeros((s.num_nodes, 1)))[:, 0]  # caches empty
+    full_path_delay = geom.delays(np.zeros((s.num_nodes, 1)))[:, 0].tolist()  # caches empty
     ingress = [r.path.nodes[0] for r in s.requests]
-    caches: dict[int, deque] = {
-        v: deque() for v in sorted(set(ingress))
-    }
-
-    delay_hist: deque = deque(maxlen=cfg.delay_window)
-    dissim_hist: deque = deque(maxlen=cfg.delay_window)
+    caches: dict[int, deque] = {v: deque() for v in sorted(set(ingress))}
+    window = SlotWindow(cfg)
     slots: list[PerCacheSlot] = []
 
     for t in range(1, cfg.num_slots + 1):
         counts = streams.draw_counts()
-        slot_delay = 0.0
-        slot_dissim = 0.0
+        hit = np.flatnonzero(counts)  # requests with arrivals, in index order
+        slot_delay = slot_dissim = 0.0
         churn = 0
-        num = 0
-        for r in range(s.num_requests):
-            for _ in range(int(counts[r])):
-                num += 1
-                f = s.requests[r].content
-                v = ingress[r]
-                cache = caches[v]
-                f_prime, delay, dis = serve_from_cache(
-                    s, cache, f, float(full_path_delay[r]))
+        for r, c in zip(hit.tolist(), counts[hit].tolist()):
+            f, v = s.requests[r].content, ingress[r]
+            cache, cap = caches[v], int(s.capacities[v])
+            for _ in range(c):
+                f_prime, delay, dis = serve_from_cache(s, cache, f, full_path_delay[r])
                 if f_prime in cache:
                     cache.remove(f_prime)
                     cache.appendleft(f_prime)  # refresh recency
                 slot_delay += delay
                 slot_dissim += dis
-                cap = int(s.capacities[v])
                 if cap > 0 and f not in cache and insert_rng.random() < cfg.insert_prob:
                     if len(cache) >= cap:
                         cache.pop()  # evict LRU
                     cache.appendleft(f)
                     churn += 1
-        delay_hist.append(slot_delay)
-        dissim_hist.append(slot_dissim)
-        win = len(delay_hist) * cfg.slot_length
+        windowed_delay, windowed_dissim = window.push(slot_delay, slot_dissim)
         slots.append(PerCacheSlot(
             slot=t,
-            num_requests=num,
-            windowed_delay=sum(delay_hist) / win,
-            windowed_dissimilarity=sum(dissim_hist) / win,
+            num_requests=int(counts.sum()),
+            windowed_delay=windowed_delay,
+            windowed_dissimilarity=windowed_dissim,
             cache_churn=churn,
         ))
     return PerCacheResult(slots=slots, caches={v: list(c) for v, c in caches.items()})

@@ -251,6 +251,8 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
                 raise ValueError(f"unknown scheme {sch!r}")
         if param == "capacity" and not all(v.is_integer() and abs(v) < 2**63 for v in value_list):
             raise ValueError("capacity values must be whole numbers that fit in int64")
+        if workers < 1:
+            raise ValueError("--workers must be >= 1")
     except ValueError as exc:
         raise click.UsageError(str(exc))
     solver = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
@@ -265,6 +267,7 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
             _exit_on_violations(s)
             heads += [(param, v, seed)] * len(scheme_list)
             points += [(s, scheme) for scheme in scheme_list]
+    workers = min(workers, len(points))  # a fork pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tails = list(pool.map(sweep_point, *zip(*points), repeat(cfg)))

@@ -83,7 +83,7 @@ class PathGeometry:
         (u, v), ids = np.array(edges, dtype=np.intp).reshape(-1, 2).T, np.arange(len(edges))
         edge[u, v] = edge[v, u] = ids
         hops = edge[self.node[terminals:], self.node[self.parent[terminals:]]]
-        if hops.size and hops.max() == len(edges):  # a KeyError, as from Network.delay
+        if hops.size and hops.max() == len(edges):  # a KeyError, as from Network.delays
             bad = terminals + hops.argmax()
             raise KeyError(edge_key(int(self.node[bad]), int(self.node[self.parent[bad]])))
         delay = np.array(list(s.network.delays.values()), dtype=float)

@@ -1,14 +1,13 @@
-"""Problem-instance types: catalog, network, requests, and validation.
+"""Problem-instance types: network, requests, and validation.
 
 Node, content, and request identifiers are dense 0-based integers
 internally; human-readable names live only in the scenario file format.
-All types are immutable after construction and safe to share across
-threads.
+The contents are a count, ``Scenario.num_contents``.  All types are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,13 +19,6 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class Catalog:
-    """Content catalog; contents are indices 0..num_contents-1."""
-
-    num_contents: int
-
-
-@dataclass(frozen=True)
 class Network:
     """Undirected network with a single per-edge delivery delay.
 
@@ -34,13 +26,7 @@ class Network:
     """
 
     num_nodes: int
-    delays: dict  # (u, v) with u <= v -> delay (seconds per content unit)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.delays
-
-    def delay(self, u: int, v: int) -> float:
-        return self.delays[edge_key(u, v)]
+    delays: dict  # edge_key(u, v) -> delay (seconds per content unit)
 
     def neighbours(self) -> dict:
         """{node: [(neighbour, delay), ...]} in ascending neighbour order."""
@@ -55,15 +41,12 @@ class Network:
     def is_connected(self) -> bool:
         if self.num_nodes == 0:
             return False
-        nbrs = self.neighbours()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w, _ in nbrs[u]:
+        nbrs, seen, todo = self.neighbours(), {0}, [0]
+        while todo:
+            for w, _ in nbrs[todo.pop()]:
                 if w not in seen:
                     seen.add(w)
-                    queue.append(w)
+                    todo.append(w)
         return len(seen) == self.num_nodes
 
 
@@ -90,13 +73,14 @@ class Request:
 class Scenario:
     """Immutable problem instance.
 
-    sources[f] is the set of nodes permanently storing content f; every
-    request path terminates at one of them.  capacities[v] counts cache
-    slots at node v available for non-source contents.  alpha weights the
-    dissimilarity cost against delay in the objective.
+    The contents are a count: indices 0..num_contents-1.  sources[f] is the
+    set of nodes permanently storing content f; every request path
+    terminates at one of them.  capacities[v] counts cache slots at node v
+    available for non-source contents.  alpha weights the dissimilarity
+    cost against delay in the objective.
     """
 
-    catalog: Catalog
+    num_contents: int
     network: Network
     sources: tuple  # tuple of frozenset[int], one per content
     requests: tuple  # tuple of Request
@@ -111,10 +95,6 @@ class Scenario:
     @property
     def num_nodes(self) -> int:
         return self.network.num_nodes
-
-    @property
-    def num_contents(self) -> int:
-        return self.catalog.num_contents
 
     @property
     def num_requests(self) -> int:
@@ -141,13 +121,12 @@ class Scenario:
         if not isinstance(other, Scenario):
             return NotImplemented
         return (
-            self.catalog == other.catalog
+            self.num_contents == other.num_contents
             and self.network == other.network
             and self.sources == other.sources
             and self.requests == other.requests
-            and self.dissimilarity.shape == other.dissimilarity.shape
-            and bool(np.all(self.dissimilarity == other.dissimilarity))
-            and bool(np.all(self.capacities == other.capacities))
+            and np.array_equal(self.dissimilarity, other.dissimilarity)
+            and np.array_equal(self.capacities, other.capacities)
             and self.alpha == other.alpha
         )
 
@@ -205,7 +184,7 @@ def validate_scenario(s: Scenario) -> list:
         if len(set(p)) != len(p):
             out.append(Violation("PathRepeatsNode", f"request {i} path {p} is cyclic"))
         for a, b in zip(p, p[1:]):
-            if not s.network.has_edge(a, b):
+            if edge_key(a, b) not in s.network.delays:
                 out.append(Violation("PathEdgeMissing", f"request {i} hop ({a},{b}) not an edge"))
         if r.content < len(s.sources) and p[-1] not in s.sources[r.content]:
             out.append(Violation("TerminalNotSource",

@@ -16,7 +16,8 @@ arrival count has expectation rate * T, the estimates are unbiased for
 the analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
-so adding or removing requests never perturbs the others' draws.
+so adding or removing requests never perturbs the others' draws; the
+seed's next child is the per-cache baseline's insertion stream.
 
 A run stores only what changed: a slot whose rounding did not change
 records the previous slot's read-only arrays, and the served tuples are
@@ -92,15 +93,17 @@ BLOCK_SLOTS = 64
 class RequestStreams:
     """Per-request Poisson(rate * T) streams split from one seed by request.
 
-    Each stream draws ``BLOCK_SLOTS`` slots per generator call, which gives
-    the same counts as one draw per slot.
+    The streams are the first R children of ``root``, the seed's
+    SeedSequence; its next child, ``root.spawn(1)[0]``, is the per-cache
+    insertion stream.  Each stream draws ``BLOCK_SLOTS`` slots per
+    generator call, which gives the same counts as one draw per slot.
     """
 
     def __init__(self, seed: int, rates: np.ndarray, T: float):
         self.means = np.asarray(rates, dtype=float) * T
-        root = np.random.SeedSequence(seed)
+        self.root = np.random.SeedSequence(seed)
         self.generators = [np.random.default_rng(ss)
-                           for ss in root.spawn(len(self.means))]
+                           for ss in self.root.spawn(len(self.means))]
         self._block = None  # (BLOCK_SLOTS, R) counts, read row by row
         self._next = BLOCK_SLOTS
 
@@ -113,6 +116,23 @@ class RequestStreams:
         counts = self._block[self._next]
         self._next += 1
         return counts
+
+
+class SlotWindow:
+    """The windowed delay and dissimilarity of both slotted runs: ``push``
+    adds one slot's totals and returns those of the last ``delay_window``
+    slots per unit time, from two float deques summed with ``sum``."""
+
+    def __init__(self, cfg: SlotConfig):
+        self.T = cfg.slot_length
+        self.delay = deque(maxlen=cfg.delay_window)
+        self.dissim = deque(maxlen=cfg.delay_window)
+
+    def push(self, slot_delay: float, slot_dissim: float) -> tuple:
+        self.delay.append(slot_delay)
+        self.dissim.append(slot_dissim)
+        win = len(self.delay) * self.T
+        return sum(self.delay) / win, sum(self.dissim) / win
 
 
 def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
@@ -166,9 +186,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     int_terms = geom.evaluate(X_int)
     Q_int = _read_only(round_delivery(int_terms, S.Q))
     served = _served_records(geom, int_terms, Q_int)
-
-    delay_hist: deque = deque(maxlen=cfg.delay_window)
-    dissim_hist: deque = deque(maxlen=cfg.delay_window)
+    window = SlotWindow(cfg)
     outcomes: list[SlotOutcome] = []
 
     for t in range(1, cfg.num_slots + 1):
@@ -198,14 +216,12 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
         if churn or Q_changed:
             served = _served_records(geom, int_terms, Q_int, served)
 
-        delay_hist.append(slot_delay)
-        dissim_hist.append(slot_dissim)
-        win = len(delay_hist) * cfg.slot_length
+        windowed_delay, windowed_dissim = window.push(slot_delay, slot_dissim)
         outcomes.append(SlotOutcome(
             slot=t,
             triples=triples,
-            windowed_delay=sum(delay_hist) / win,
-            windowed_dissimilarity=sum(dissim_hist) / win,
+            windowed_delay=windowed_delay,
+            windowed_dissimilarity=windowed_dissim,
             lagrangian=terms.lagrangian(S.Q, mu),
             cache_churn=churn,
             X_rounded=X_int,

@@ -8,8 +8,7 @@ shortest paths with ties broken toward the smaller node sequence.  They
 come from one search per distinct origin, which settles every source that
 origin's requests need.  Up to a node's first pop that search makes the
 same pops as a search for that node alone, so each path, its tie-break and
-its float length are those of a separate per-request search.  The search
-keeps its per-node state in lists indexed by node id.
+its float length are those of a separate per-request search.
 
 The file writer lays the document out itself, with the bytes that
 ``json.dump`` writes; it forms the text of each distinct dissimilarity
@@ -28,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from .model import (Catalog, Network, Path, Request, Scenario, edge_key)
+from .model import Network, Path, Request, Scenario, edge_key
 
 
 class ScenarioFormatError(ValueError):
@@ -112,9 +111,7 @@ def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
     not depend on the other destinations, so each path is the one a search
     for that destination alone returns.  The settled flags and the smallest
     pushed distances are lists indexed by node id (the nodes of
-    ``neighbours`` are 0..V-1); the heap entries, the tie rule and the float
-    sums of the lengths are those of a search that keeps them in a set and
-    a dict.
+    ``neighbours`` are 0..V-1).
     """
     todo = set(dsts)
     paths = {}
@@ -171,7 +168,7 @@ def generate_scenario(g: GenConfig) -> Scenario:
              for origin, dsts in wanted.items()}
 
     return Scenario(
-        catalog=Catalog(g.num_contents),
+        num_contents=g.num_contents,
         network=network,
         sources=sources,
         requests=tuple(Request(content=f, path=Path(paths[origin][src_node]), rate=g.rate)
@@ -275,6 +272,16 @@ def _number(value) -> float:
     return float(value)
 
 
+def _names(doc: dict, key: str) -> tuple:
+    """The list of names under ``key`` and each name's index in it."""
+    with _parsing(key):
+        names = _require(doc, key)
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
+            raise ScenarioFormatError(f"duplicate entries under {key!r}")
+    return names, index
+
+
 def load_scenario(path) -> Scenario:
     """Parse the JSON scenario document back into a Scenario.
 
@@ -290,16 +297,8 @@ def load_scenario(path) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("top level must be an object")
 
-    with _parsing("nodes"):
-        node_names = _require(doc, "nodes")
-        node_index = {name: i for i, name in enumerate(node_names)}
-        if len(node_index) != len(node_names):
-            raise ScenarioFormatError("duplicate entries under 'nodes'")
-    with _parsing("contents"):
-        content_names = _require(doc, "contents")
-        content_index = {name: i for i, name in enumerate(content_names)}
-        if len(content_index) != len(content_names):
-            raise ScenarioFormatError("duplicate entries under 'contents'")
+    node_names, node_index = _names(doc, "nodes")
+    content_names, content_index = _names(doc, "contents")
 
     delays = {}
     with _parsing("edges"):
@@ -310,11 +309,9 @@ def load_scenario(path) -> Scenario:
             delays[key] = _number(e["delay"])
     network = Network(num_nodes=len(node_names), delays=delays)
 
-    sources = []
     with _parsing("sources"):
         src_doc = _require(doc, "sources")
-        for name in content_names:
-            sources.append(frozenset(node_index[v] for v in src_doc[name]))
+        sources = tuple(frozenset(node_index[v] for v in src_doc[name]) for name in content_names)
 
     capacities = np.zeros(len(node_names), dtype=int)
     with _parsing("capacities"):
@@ -352,9 +349,9 @@ def load_scenario(path) -> Scenario:
     with _parsing("alpha"):
         alpha = _number(_require(doc, "alpha"))
     return Scenario(
-        catalog=Catalog(F),
+        num_contents=F,
         network=network,
-        sources=tuple(sources),
+        sources=sources,
         requests=tuple(requests),
         dissimilarity=dissimilarity,
         capacities=capacities,

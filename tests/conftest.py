@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simcache.cost import PathGeometry, PrimalState
-from simcache.model import Catalog, Network, Path, Request, Scenario
+from simcache.model import Network, Path, Request, Scenario
 from simcache.projection import project_cache_matrix, project_delivery_matrix
 from simcache.scenario import GenConfig, generate_scenario
 
@@ -20,7 +20,7 @@ def make_line_scenario(taus=(2.0, 5.0), num_contents=2, capacity=1,
         idx = np.arange(num_contents)
         dissimilarity = np.abs(idx[:, None] - idx[None, :]).astype(float)
     return Scenario(
-        catalog=Catalog(num_contents),
+        num_contents=num_contents,
         network=Network(num_nodes=n, delays=delays),
         sources=tuple(frozenset({n - 1}) for _ in range(num_contents)),
         requests=(Request(content=content, path=Path(tuple(range(n))), rate=rate),),
@@ -41,7 +41,7 @@ def make_tiny_scenario(rng):
                 rate=float(rng.uniform(0.5, 2.0)))
         for _ in range(2))
     return Scenario(
-        catalog=Catalog(2),
+        num_contents=2,
         network=Network(num_nodes=3, delays=delays),
         sources=(frozenset({2}), frozenset({2})),
         requests=requests,

@@ -26,7 +26,7 @@ def oracle_delay(s, X, r, f_prime):
         prod = 1.0
         for kk in range(k + 1):
             prod *= 1.0 - X[p[kk], f_prime]
-        total += s.network.delay(p[k], p[k + 1]) * prod
+        total += s.network.delays[edge_key(p[k], p[k + 1])] * prod
     return total
 
 
@@ -101,7 +101,7 @@ def padded_path_oracle(s, X, Q, mu, weights=None):
         nodes[i, :len(p)] = p
         mask[i, :len(p)] = True
         for k in range(len(p) - 1):
-            taus[i, k] = s.network.delay(p[k], p[k + 1])
+            taus[i, k] = s.network.delays[edge_key(p[k], p[k + 1])]
     Y = np.where(mask[:, :, None], 1.0 - X[nodes], 1.0)
     CP = np.cumprod(Y, axis=1)
     delays = np.einsum("rk,rkf->rf", taus, CP)
@@ -155,7 +155,8 @@ def oracle_suffix_trie(s):
     index[()] = len(suffixes)
     node = np.array([t[0] for t in suffixes], dtype=np.intp)
     parent = np.array([index[t[1:]] for t in suffixes], dtype=np.intp)
-    tau = np.array([s.network.delay(*t[:2]) if len(t) > 1 else 0.0 for t in suffixes])
+    tau = np.array([s.network.delays[edge_key(*t[:2])] if len(t) > 1 else 0.0
+                    for t in suffixes])
     start = np.array([index[r.path.nodes] for r in s.requests], dtype=np.intp)
     sizes = np.bincount(np.array([len(t) for t in suffixes], dtype=int))[1:]
     return node, parent, tau, start, [0, *np.cumsum(sizes).tolist()]

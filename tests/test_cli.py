@@ -166,6 +166,15 @@ class TestOptionErrors:
         assert "must" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_without_workers_writes_nothing(self, tmp_path, workers):
+        out = tmp_path / "x"
+        res = run(["sweep", "--values", "10", "--seeds", "0", "--workers", workers,
+                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "must" in res.output
+        assert not out.exists()
+
 
 class TestSolve:
     def test_writes_artifacts(self, tmp_path):

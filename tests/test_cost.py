@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from simcache.cost import PathGeometry, PrimalState
 from simcache.gradients import grad_x
-from simcache.model import Catalog, Network, Path, Request, Scenario
+from simcache.model import Network, Path, Request, Scenario, edge_key
 from simcache.scenario import GenConfig, generate_scenario
 
 from conftest import MID, make_line_scenario, random_box_state
@@ -64,7 +64,7 @@ class TestDeliveryDelay:
             r = int(rng.integers(0, s.num_requests))
             f = int(rng.integers(0, s.num_contents))
             p = s.requests[r].path.nodes
-            full = sum(s.network.delay(a, b) for a, b in zip(p, p[1:]))
+            full = sum(s.network.delays[edge_key(a, b)] for a, b in zip(p, p[1:]))
             assert -1e-12 <= PathGeometry(s).delays(S.X)[r, f] <= full + 1e-12
 
 
@@ -275,7 +275,7 @@ def tree_scenarios(draw):
         rate = draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0)))
         requests.append(Request(f, Path(tuple(path)), rate))
     return Scenario(
-        catalog=Catalog(F),
+        num_contents=F,
         network=Network(V, delays),
         sources=sources,
         requests=tuple(requests),
@@ -293,7 +293,7 @@ generated_scenarios = st.builds(
 def hand_trie_scenario(*paths):
     """One content at node 3 of a five-node tree, one request per path."""
     return Scenario(
-        catalog=Catalog(1),
+        num_contents=1,
         network=Network(5, {(0, 1): 2.0, (1, 2): 5.0, (2, 3): 1.5, (2, 4): 3.0}),
         sources=(frozenset({3}),),
         requests=tuple(Request(0, Path(p), 1.0) for p in paths),

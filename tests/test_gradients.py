@@ -3,7 +3,7 @@ import pytest
 
 from simcache.cost import PathGeometry, PrimalState
 from simcache.gradients import grad_mu, grad_q, grad_x, x_position_contributions
-from simcache.model import Catalog, Network, Path, Request, Scenario
+from simcache.model import Network, Path, Request, Scenario
 
 from conftest import make_line_scenario, random_box_state
 from oracles import fd_gradient, oracle_delay, oracle_scatter_rows
@@ -30,7 +30,7 @@ def padded_path_scenario(kind):
     """
     if kind == "at_sources":
         return Scenario(
-            catalog=Catalog(2),
+            num_contents=2,
             network=Network(2, {(0, 1): 1.0}),
             sources=(frozenset({0}), frozenset({1})),
             requests=(Request(0, Path((0,)), 1.5), Request(1, Path((1,)), 0.7),
@@ -40,7 +40,7 @@ def padded_path_scenario(kind):
             alpha=1.0,
         )
     return Scenario(
-        catalog=Catalog(3),
+        num_contents=3,
         network=Network(5, {(0, 1): 2.0, (1, 2): 5.0, (2, 3): 1.5, (2, 4): 3.0}),
         sources=(frozenset({3}), frozenset({3}), frozenset({3})),
         requests=(Request(0, Path((0, 1, 2, 3)), 0.4),
@@ -64,7 +64,7 @@ class TestGradX:
 
     def test_no_requests_gives_zero(self):
         s = Scenario(
-            catalog=Catalog(2),
+            num_contents=2,
             network=Network(2, {(0, 1): 1.0}),
             sources=(frozenset({0}), frozenset({1})),
             requests=(),
@@ -79,7 +79,7 @@ class TestGradX:
     def test_node_off_all_paths_is_zero(self):
         # star-ish line where node 0 never appears on the request path
         s = Scenario(
-            catalog=Catalog(2),
+            num_contents=2,
             network=Network(3, {(0, 1): 1.0, (1, 2): 4.0}),
             sources=(frozenset({2}), frozenset({2})),
             requests=(Request(0, Path((1, 2)), 1.0),),

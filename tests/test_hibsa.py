@@ -9,7 +9,7 @@ from simcache.gradients import grad_mu
 from simcache.hibsa import (TRACE_COLUMNS, SolverConfig, dual_step,
                             identity_delivery, initial_state, primal_step,
                             round_caching, round_delivery, solve_offline)
-from simcache.model import Catalog, Network, Scenario
+from simcache.model import Network, Scenario
 from simcache.scenario import GenConfig, generate_scenario, with_alpha
 
 from conftest import MID, allocate_every_evaluation, make_line_scenario, make_tiny_scenario
@@ -67,7 +67,7 @@ def pinned_scenario(pins, capacities):
     """Request-free scenario with the given source mask and capacities."""
     V, F = pins.shape
     return Scenario(
-        catalog=Catalog(F),
+        num_contents=F,
         network=Network(num_nodes=V, delays={}),
         sources=tuple(frozenset(np.nonzero(pins[:, f])[0].tolist()) for f in range(F)),
         requests=(),

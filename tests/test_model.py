@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from simcache.model import (Catalog, Network, Path, Request, Scenario,
+from simcache.model import (Network, Path, Request, Scenario, edge_key,
                             validate_scenario)
 
 from conftest import make_line_scenario
@@ -19,7 +19,7 @@ class TestValidateScenario:
 
     def test_terminal_not_source(self):
         s = make_line_scenario()
-        bad = Scenario(s.catalog, s.network,
+        bad = Scenario(s.num_contents, s.network,
                        sources=(frozenset({0}), frozenset({s.num_nodes - 1})),
                        requests=s.requests, dissimilarity=s.dissimilarity,
                        capacities=s.capacities, alpha=s.alpha)
@@ -29,7 +29,7 @@ class TestValidateScenario:
         s = make_line_scenario()
         d = s.dissimilarity.copy()
         d[1, 1] = 0.5
-        bad = Scenario(s.catalog, s.network, s.sources, s.requests,
+        bad = Scenario(s.num_contents, s.network, s.sources, s.requests,
                        d, s.capacities, s.alpha)
         assert "NonzeroSelfDissimilarity" in self._codes(bad)
 
@@ -37,34 +37,34 @@ class TestValidateScenario:
         s = make_line_scenario()
         d = s.dissimilarity.copy()
         d[0, 1] = -1.0
-        bad = Scenario(s.catalog, s.network, s.sources, s.requests,
+        bad = Scenario(s.num_contents, s.network, s.sources, s.requests,
                        d, s.capacities, s.alpha)
         assert "NegativeDissimilarity" in self._codes(bad)
 
     def test_missing_path_edge(self):
         s = make_line_scenario()
         req = Request(content=0, path=Path((0, 2)), rate=1.0)
-        bad = Scenario(s.catalog, s.network, s.sources, (req,),
+        bad = Scenario(s.num_contents, s.network, s.sources, (req,),
                        s.dissimilarity, s.capacities, s.alpha)
         assert "PathEdgeMissing" in self._codes(bad)
 
     def test_cyclic_path(self):
         s = make_line_scenario()
         req = Request(content=0, path=Path((0, 1, 0, 1, 2)), rate=1.0)
-        bad = Scenario(s.catalog, s.network, s.sources, (req,),
+        bad = Scenario(s.num_contents, s.network, s.sources, (req,),
                        s.dissimilarity, s.capacities, s.alpha)
         assert "PathRepeatsNode" in self._codes(bad)
 
     def test_negative_rate(self):
         s = make_line_scenario()
         req = Request(content=0, path=s.requests[0].path, rate=-2.0)
-        bad = Scenario(s.catalog, s.network, s.sources, (req,),
+        bad = Scenario(s.num_contents, s.network, s.sources, (req,),
                        s.dissimilarity, s.capacities, s.alpha)
         assert "NegativeRate" in self._codes(bad)
 
     def test_empty_source_set(self):
         s = make_line_scenario()
-        bad = Scenario(s.catalog, s.network,
+        bad = Scenario(s.num_contents, s.network,
                        sources=(frozenset({s.num_nodes - 1}), frozenset()),
                        requests=s.requests, dissimilarity=s.dissimilarity,
                        capacities=s.capacities, alpha=s.alpha)
@@ -73,14 +73,14 @@ class TestValidateScenario:
     def test_nonpositive_edge_delay(self):
         s = make_line_scenario()
         net = Network(s.num_nodes, {(0, 1): 0.0, (1, 2): 5.0})
-        bad = Scenario(s.catalog, net, s.sources, s.requests,
+        bad = Scenario(s.num_contents, net, s.sources, s.requests,
                        s.dissimilarity, s.capacities, s.alpha)
         assert "NonpositiveEdgeDelay" in self._codes(bad)
 
     def test_disconnected(self):
         net = Network(3, {(0, 1): 1.0})
         s = make_line_scenario()
-        bad = Scenario(s.catalog, net,
+        bad = Scenario(s.num_contents, net,
                        sources=(frozenset({1}), frozenset({1})),
                        requests=(Request(0, Path((0, 1)), 1.0),),
                        dissimilarity=s.dissimilarity,
@@ -100,7 +100,7 @@ class TestValidateScenario:
 
     def test_negative_alpha_and_capacity(self):
         s = make_line_scenario()
-        bad = Scenario(s.catalog, s.network, s.sources, s.requests,
+        bad = Scenario(s.num_contents, s.network, s.sources, s.requests,
                        s.dissimilarity, np.array([-1, 1, 1]), -2.0)
         codes = self._codes(bad)
         assert "NegativeCapacity" in codes and "NegativeAlpha" in codes
@@ -122,7 +122,7 @@ class TestValidateScenario:
         else:
             d = s.dissimilarity.copy()
             d[0, 1] = value
-        bad = Scenario(s.catalog, net, s.sources, reqs, d, s.capacities, alpha)
+        bad = Scenario(s.num_contents, net, s.sources, reqs, d, s.capacities, alpha)
         assert code in self._codes(bad)
 
     def test_corrupt_one_field_randomized(self, small_scenario):
@@ -135,18 +135,18 @@ class TestValidateScenario:
                 d = s.dissimilarity.copy()
                 f = int(rng.integers(0, s.num_contents))
                 d[f, f] = 1.0
-                bad = Scenario(s.catalog, s.network, s.sources, s.requests,
+                bad = Scenario(s.num_contents, s.network, s.sources, s.requests,
                                d, s.capacities, s.alpha)
             elif kind == 1:
                 i = int(rng.integers(0, s.num_requests))
                 reqs = list(s.requests)
                 reqs[i] = Request(reqs[i].content, reqs[i].path, -1.0)
-                bad = Scenario(s.catalog, s.network, s.sources, tuple(reqs),
+                bad = Scenario(s.num_contents, s.network, s.sources, tuple(reqs),
                                s.dissimilarity, s.capacities, s.alpha)
             else:
                 caps = s.capacities.copy()
                 caps[int(rng.integers(0, s.num_nodes))] = -1
-                bad = Scenario(s.catalog, s.network, s.sources, s.requests,
+                bad = Scenario(s.num_contents, s.network, s.sources, s.requests,
                                s.dissimilarity, caps, s.alpha)
             assert validate_scenario(bad) != []
 
@@ -154,7 +154,7 @@ class TestValidateScenario:
 def test_network_delay_symmetric(default_scenario):
     net = default_scenario.network
     (u, v), tau = next(iter(net.delays.items()))
-    assert net.delay(u, v) == net.delay(v, u) == tau
+    assert net.delays[edge_key(u, v)] == net.delays[edge_key(v, u)] == tau
 
 
 def test_unpickled_scenario_is_read_only(default_scenario):
@@ -162,3 +162,10 @@ def test_unpickled_scenario_is_read_only(default_scenario):
     s = pickle.loads(pickle.dumps(default_scenario))
     assert s == default_scenario
     assert not s.dissimilarity.flags.writeable and not s.capacities.flags.writeable
+
+
+@pytest.mark.parametrize("field,value", [("capacities", np.ones(4, dtype=int)),
+                                         ("dissimilarity", np.zeros((3, 3)))])
+def test_scenarios_of_other_shapes_are_unequal(default_scenario, field, value):
+    other = replace(default_scenario, **{field: value})
+    assert other != default_scenario and default_scenario != other

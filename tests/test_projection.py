@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import (project_cache_row, project_delivery_row, qp_cache_oracle,
                      qp_simplex_oracle)
-from simcache.model import Catalog, Network, Scenario
+from simcache.model import Network, Scenario
 from simcache.projection import clamp_dual, project_cache_matrix, project_delivery_matrix
 
 finite_rows = arrays(
@@ -131,7 +131,7 @@ class TestCacheMatrix:
 
     def test_source_mask_is_read_only_and_matches_the_sources(self):
         sources = (frozenset({0, 2}), frozenset({3}), frozenset({0, 1, 2, 3}))
-        s = Scenario(catalog=Catalog(3), network=Network(num_nodes=4, delays={}),
+        s = Scenario(num_contents=3, network=Network(num_nodes=4, delays={}),
                      sources=sources, requests=(), dissimilarity=np.zeros((3, 3)),
                      capacities=np.ones(4, dtype=int), alpha=1.0)
         ref = np.zeros((4, 3), dtype=bool)

@@ -10,7 +10,7 @@ from conftest import MID
 from oracles import oracle_shortest_paths, reference_scenario_bytes
 from scipy import stats
 
-from simcache.model import (Catalog, Network, Path, Request, Scenario,
+from simcache.model import (Network, Path, Request, Scenario, edge_key,
                             validate_scenario)
 from simcache.scenario import (GenConfig, ScenarioFormatError, generate_scenario,
                                grid_edges, load_scenario,
@@ -98,8 +98,8 @@ class TestShortestPath:
         for k in range(len(others) + 1):
             for mid in permutations(others, k):
                 path = (src,) + mid + (dst,)
-                if all(net.has_edge(a, b) for a, b in zip(path, path[1:])):
-                    cost = sum(net.delay(a, b) for a, b in zip(path, path[1:]))
+                if all(edge_key(a, b) in net.delays for a, b in zip(path, path[1:])):
+                    cost = sum(net.delays[edge_key(a, b)] for a, b in zip(path, path[1:]))
                     if cost < best - 1e-12 or (cost < best + 1e-12
                                                and path < best_path):
                         best, best_path = cost, path
@@ -114,7 +114,7 @@ class TestShortestPath:
             src, dst = rng.choice(4, size=2, replace=False)
             src, dst = int(src), int(dst)
             got = shortest_paths(net.neighbours(), src, (dst,))[dst]
-            cost = sum(net.delay(a, b) for a, b in zip(got, got[1:]))
+            cost = sum(net.delays[edge_key(a, b)] for a, b in zip(got, got[1:]))
             best, best_path = self.brute_force(net, src, dst)
             assert cost == pytest.approx(best)
             assert got == best_path
@@ -273,7 +273,7 @@ def awkward_scenario(alpha):
     """Three nodes, floats whose shortest repr is long, tiny or huge, and
     one content with two sources."""
     return Scenario(
-        catalog=Catalog(2),
+        num_contents=2,
         network=Network(num_nodes=3, delays={(0, 1): 0.1 + 0.2, (1, 2): 1e-7,
                                              (0, 2): 1e16}),
         sources=(frozenset({2, 0}), frozenset({2})),
@@ -286,7 +286,7 @@ def awkward_scenario(alpha):
 
 
 def with_dissimilarity(d):
-    """A default-size instance whose catalog fits the matrix d."""
+    """A default-size instance whose content count fits the matrix d."""
     d = np.asarray(d, dtype=float)
     return replace(generate_scenario(GenConfig(num_contents=len(d))), dissimilarity=d)
 
@@ -306,7 +306,7 @@ class TestFileFormat:
         pytest.param(lambda: generate_scenario(GenConfig(nodes_side=1, num_origins=1)),
                      id="grid-1x1-no-edges"),
         pytest.param(lambda: Scenario(
-            catalog=Catalog(1), network=Network(num_nodes=1, delays={}),
+            num_contents=1, network=Network(num_nodes=1, delays={}),
             sources=(frozenset(),), requests=(Request(0, Path(()), 3),),
             dissimilarity=np.zeros((1, 1), dtype=int), capacities=np.zeros(1, dtype=int),
             alpha=1), id="empty-lists-and-integers"),
