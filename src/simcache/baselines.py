@@ -84,7 +84,7 @@ def run_per_cache_baseline(s: Scenario, cfg: PerCacheConfig) -> PerCacheResult:
     streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
     insert_rng = np.random.default_rng(streams.root.spawn(1)[0])
 
-    full_path_delay = geom.delays(np.zeros((s.num_nodes, 1)))[:, 0].tolist()  # caches empty
+    full_path_delay = geom.delays(np.zeros((s.num_nodes, s.num_contents)))[:, 0].tolist()
     ingress = [r.path.nodes[0] for r in s.requests]
     caches: dict[int, deque] = {v: deque() for v in sorted(set(ingress))}
     window = SlotWindow(cfg)

@@ -8,9 +8,10 @@ Exit codes: 0 success (including reported nonconvergence); 1 scenario
 violations, among them those of a solve --alpha or any sweep grid instance,
 all checked before anything is solved or written; 2 usage error, including
 an out-of-range or non-finite value of any other option (a negative seed
-among them), a sweep capacity that is no int64 whole number or an empty
-sweep grid, rejected before anything is written; 3 I/O or parse error,
-including a scenario capacity that is no integer and a repeated edge.
+among them), an online slot length too large for a request rate, a sweep
+capacity that is no int64 whole number or an empty sweep grid, rejected
+before anything is written; 3 I/O or parse error, including a scenario
+capacity that is no integer and a repeated edge.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import __version__
 from .baselines import PerCacheConfig, run_per_cache_baseline
 from .hibsa import TRACE_COLUMNS, SolverConfig, solve_offline
 from .model import validate_scenario
-from .online import OnlineConfig, run_online
+from .online import OnlineConfig, RequestStreams, run_online
 from .scenario import (GenConfig, ScenarioFormatError, generate_scenario,
                        load_scenario, save_scenario, with_alpha, with_capacity)
 
@@ -65,8 +66,8 @@ def run_dir(out, command: str, options: dict) -> FsPath:
 
 
 def _config(cls, **options):
-    """``cls(**options)`` for a config dataclass; the ValueError of its own
-    checks becomes a usage error (exit 2)."""
+    """``cls(**options)`` for a config dataclass or ``RequestStreams``; the
+    ValueError of its own checks becomes a usage error (exit 2)."""
     try:
         return cls(**options)
     except ValueError as exc:
@@ -308,6 +309,7 @@ def online(scenario, out, baseline, slots, seed, slot_length, eta_x, eta_q,
     ref_cfg = _config(SolverConfig, max_iters=max_iters)
     s = _load(scenario)
     _exit_on_violations(s)
+    _config(RequestStreams, seed=seed, rates=s.rates(), T=slot_length)  # each mean drawable
     offline_delay = None
     if offline_ref:
         offline_delay = solve_offline(s, ref_cfg).rounded.expected_delay

@@ -8,20 +8,22 @@ the terminals, T(u) = y * (tau(u) + T(parent)) and A(u) = y * A(parent),
 with T = 0 and A = 1 past a terminal.  `PathGeometry.evaluate(X)` gathers
 y once per trie node, runs both in one loop over the trie levels and
 returns the `PathTerms` of iterate X: T and A at each request's start
-node, and each node's bracket W(u) = [tau(u) + T(parent) | A(parent)],
-from which the gradients take dL/dx.  Every cost quantity is defined on
-`PathTerms`; the tests check them against per-term oracles.
+node, the per-delivery costs T + alpha * d, and each node's bracket
+W(u) = [tau(u) + T(parent) | A(parent)], from which the gradients take
+dL/dx.  Every cost quantity is defined on `PathTerms`; the tests check
+them against per-term oracles.
 
-A `PathTerms` owns its arrays, and the caller of `evaluate` owns the
-terms.  `evaluate(X, out=terms)`, like numpy's ``out=``, overwrites
-``terms`` in place with those of X and changes no other terms, so a solver
-loop refills one set per iterate; the level loop's [T | A] is temporary.
+A `PathTerms` is five arrays that it owns, and the caller of `evaluate`
+owns the terms.  `evaluate(X, out=terms)`, like numpy's ``out=``,
+overwrites all five, the costs along with the delays, in place with those
+of X and changes no other terms, so a solver loop refills one set per
+iterate; the level loop's [T | A] is temporary.  The terms take their
+shape from the geometry, so an X of another width is an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -109,11 +111,9 @@ class PathGeometry:
         """The path terms of caching iterate X; the only gather of (1 - x).
         ``out``, terms of this geometry that the caller no longer reads, is
         overwritten in place and returned; without it, new terms are filled."""
-        N, R, F = self.node.size, self.start.size, X.shape[1]
+        (R, F), N = self.d_rows.shape, self.node.size
         if out is None:
-            out = PathTerms(self, np.empty((N, 2, F)), np.empty((N, 2, F)),
-                            np.empty((R, F)), np.empty((R, F)))
-        out.__dict__.pop("costs", None)  # formed afresh at the new X
+            out = PathTerms(self, *np.empty((2, N, 2, F)), *np.empty((3, R, F)))
         Y, W = out.Y, out.W
         X.take(self.node_rows, 0, Y.reshape(2 * N, F), 'clip')  # 1 - x, once for each block
         np.subtract(1.0, Y, out=Y)
@@ -126,6 +126,8 @@ class PathGeometry:
             np.multiply(w, Y[a:b], out=Z[a:b])
         Z[:, 0].take(self.start, 0, out.delays, 'clip')
         Z[:, 1].take(self.start, 0, out.avail, 'clip')
+        np.multiply(self.scenario.alpha, self.d_rows, out=out.costs)
+        np.add(out.delays, out.costs, out=out.costs)
         return out
 
     def delays(self, X: np.ndarray) -> np.ndarray:
@@ -143,18 +145,15 @@ class PathGeometry:
 @dataclass
 class PathTerms:
     """Path quantities of one caching iterate X, shared by every cost and
-    gradient evaluated at X; the delivery Q and multipliers mu are passed in."""
+    gradient evaluated at X; the delivery Q and multipliers mu are passed in.
+    ``PathGeometry.evaluate`` fills every array, the costs after the delays."""
 
     geom: PathGeometry
     Y: np.ndarray  # (N, 2, F) 1 - x at each trie node, in both blocks
     W: np.ndarray  # (N, 2, F) brackets [tau(u) + T(parent) | A(parent)]
     delays: np.ndarray  # (R, F) delivery delays t_{(f,p),f'}(X)
     avail: np.ndarray  # (R, F) products over the whole path of (1 - x)
-
-    @cached_property
-    def costs(self) -> np.ndarray:
-        """(R, F) per-delivery costs t + alpha * d, formed on first use."""
-        return self.delays + self.geom.scenario.alpha * self.geom.d_rows
+    costs: np.ndarray  # (R, F) per-delivery costs t + alpha * d, refilled with the delays
 
     def violations(self, Q: np.ndarray) -> np.ndarray:
         """(R, F) matrix of h_{(f,p),f'}(X, Q)."""

@@ -17,7 +17,7 @@ import numpy as np
 from .cost import PathGeometry, PathTerms, PrimalState
 from .gradients import grad_mu, grad_q, grad_x
 from .model import Scenario
-from .projection import clamp_dual, project_cache_matrix, project_delivery_matrix
+from .projection import project_cache_matrix, project_delivery_matrix
 
 
 @dataclass
@@ -105,10 +105,15 @@ def primal_step(terms: PathTerms, S: PrimalState, mu: np.ndarray,
     return projected_primal_update(terms.geom, S, gx, gq, cfg.eta_s, cfg.eta_s)
 
 
+TINY = np.finfo(float).tiny  # the smallest normal float
+
+
 def dual_step(mu: np.ndarray, g_mu: np.ndarray, n: int,
               eta_mu: float) -> np.ndarray:
     """Perturbed ascent: ((1 - gamma(n) eta_mu) mu + eta_mu g_mu)^+ with
-    the caller's mu-gradient g_mu.
+    the caller's mu-gradient g_mu, and every entry below TINY, subnormals
+    included, exactly 0 (a NaN stays NaN): a decaying multiplier reaches 0,
+    and ``SolveResult.dual`` holds 0 where it once held a subnormal.
 
     The shrinkage factor (1 - gamma(n) eta_mu) is the ascent step on the
     regularized dual objective L - (gamma/2) ||mu||^2; the regularization
@@ -117,7 +122,11 @@ def dual_step(mu: np.ndarray, g_mu: np.ndarray, n: int,
     if n < 1:
         raise ValueError("iteration counter starts at 1")
     gamma = 1.0 / (eta_mu * n ** 0.25)
-    return clamp_dual((1.0 - gamma * eta_mu) * mu + eta_mu * g_mu)
+    v = (1.0 - gamma * eta_mu) * mu + eta_mu * g_mu
+    np.maximum(v, 0.0, out=v)
+    # a product, not v[v < TINY] = 0: that masked assignment costs about
+    # 4x the rest of the step
+    return np.multiply(v, v >= TINY, out=v)
 
 
 def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:

@@ -97,13 +97,22 @@ class RequestStreams:
     SeedSequence; its next child, ``root.spawn(1)[0]``, is the per-cache
     insertion stream.  Each stream draws ``BLOCK_SLOTS`` slots per
     generator call, which gives the same counts as one draw per slot.
+    A mean that numpy cannot draw from is a ValueError naming its request,
+    raised here, before the first slot.
     """
 
     def __init__(self, seed: int, rates: np.ndarray, T: float):
-        self.means = np.asarray(rates, dtype=float) * T
+        with np.errstate(over="ignore"):  # a mean of inf is rejected below
+            self.means = np.asarray(rates, dtype=float) * T
         self.root = np.random.SeedSequence(seed)
         self.generators = [np.random.default_rng(ss)
                            for ss in self.root.spawn(len(self.means))]
+        for r, (g, lam) in enumerate(zip(self.generators, self.means.tolist())):
+            try:
+                g.poisson(lam, size=0)  # numpy's own check of the mean; draws nothing
+            except ValueError as exc:
+                raise ValueError(f"request {r}: Poisson mean rate * slot_length = {lam!r} "
+                                 f"cannot be drawn ({exc})") from None
         self._block = None  # (BLOCK_SLOTS, R) counts, read row by row
         self._next = BLOCK_SLOTS
 

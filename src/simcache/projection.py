@@ -1,4 +1,4 @@
-"""Euclidean projections for the primal feasible set and the dual clamp.
+"""Euclidean projections for the primal feasible set.
 
 The feasible set factorizes over cache rows (box + capacity budget,
 pinned source entries fixed at 1) and delivery rows (probability
@@ -13,11 +13,6 @@ row by the sort-and-threshold rule for the simplex.
 from __future__ import annotations
 
 import numpy as np
-
-
-def clamp_dual(mu: np.ndarray) -> np.ndarray:
-    """Elementwise (x)^+ = max(0, x)."""
-    return np.maximum(mu, 0.0)
 
 
 def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,

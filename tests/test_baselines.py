@@ -102,6 +102,10 @@ class TestPerCacheBaseline:
         s = make_line_scenario(taus=(2.0, 5.0), alpha=10.0, content=1)
         assert serve_from_cache(s, [0], 1, 7.0) == (1, 7.0, 0.0)
 
+    def test_slot_length_too_large_is_rejected(self, small_scenario):
+        with pytest.raises(ValueError, match="request 0: Poisson mean"):
+            run_per_cache_baseline(small_scenario, PerCacheConfig(slot_length=1e300))
+
     def test_deterministic(self, small_scenario):
         cfg = PerCacheConfig(num_slots=40, seed=9)
         a = run_per_cache_baseline(small_scenario, cfg)

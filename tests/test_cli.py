@@ -166,6 +166,29 @@ class TestOptionErrors:
         assert "must" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("baseline", [[], ["--baseline", "per-cache"]],
+                             ids=["online", "per-cache"])
+    @pytest.mark.parametrize("rate,slot_length", [("1.0", "1e300"), ("1e19", "1.0"),
+                                                  ("1e300", "1e10")])
+    def test_poisson_mean_too_large_writes_nothing(self, tmp_path, monkeypatch, baseline,
+                                                   rate, slot_length):
+        p = write_scenario(tmp_path)
+        doc = json.loads(p.read_text())
+        doc["requests"][0].update(rate=float(rate))
+        p.write_text(json.dumps(doc))
+        assert run(["validate", "--scenario", str(p)]).exit_code == 0
+
+        def solve_offline(*args):
+            raise AssertionError("the offline reference solve ran")
+        monkeypatch.setattr(cli, "solve_offline", solve_offline)
+        out = tmp_path / "run"
+        res = run(["online", "--scenario", str(p), *baseline, "--slot-length", slot_length,
+                   "--offline-ref", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert "request 0: Poisson mean rate * slot_length" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_sweep_without_workers_writes_nothing(self, tmp_path, workers):
         out = tmp_path / "x"

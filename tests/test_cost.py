@@ -207,7 +207,7 @@ class TestBatchGeometry:
                 assert avail[r, f] == pytest.approx(ref)
 
 
-TERM_ARRAYS = ("Y", "W", "delays", "avail")
+TERM_ARRAYS = ("Y", "W", "delays", "avail", "costs")
 
 
 class TestTermsReuse:
@@ -225,12 +225,12 @@ class TestTermsReuse:
         X2[:, 0] = 1.0  # a fully cached content zeroes its delays
         Q = rng.uniform(size=(s.num_requests, s.num_contents))
         terms = geom.evaluate(X1)
-        before = terms.costs.copy()  # read, and so cached, at X1
+        before = terms.costs.copy()
         owned = [getattr(terms, k) for k in TERM_ARRAYS]
         assert geom.evaluate(X2, out=terms) is terms
         assert all(getattr(terms, k) is a for k, a in zip(TERM_ARRAYS, owned))
         fresh = geom.evaluate(X2)
-        for k in TERM_ARRAYS + ("costs",):
+        for k in TERM_ARRAYS:
             assert getattr(terms, k).tobytes() == getattr(fresh, k).tobytes(), k
         assert not np.array_equal(terms.costs, before)
         assert terms.objective(Q) == fresh.objective(Q)
@@ -241,15 +241,20 @@ class TestTermsReuse:
         rng = np.random.default_rng(4)
         X1, X2, X3 = rng.uniform(size=(3, s.num_nodes, s.num_contents))
         kept = geom.evaluate(X1)
-        kept_costs = kept.costs
-        copies = {k: getattr(kept, k).copy() for k in TERM_ARRAYS + ("costs",)}
+        owned = [getattr(kept, k) for k in TERM_ARRAYS]
+        copies = {k: getattr(kept, k).copy() for k in TERM_ARRAYS}
         other = geom.evaluate(X2)
-        other.costs  # cached at X2, dropped by the refill
         geom.evaluate(X3, out=other)
         geom.evaluate(X2)
-        assert kept.costs is kept_costs
+        assert all(getattr(kept, k) is a for k, a in zip(TERM_ARRAYS, owned))
         for k, a in copies.items():
             assert getattr(kept, k).tobytes() == a.tobytes(), k
+
+    def test_caching_of_another_width_is_rejected(self, scenario):
+        # the terms take their width from the geometry, not from X
+        geom = PathGeometry(scenario)
+        with pytest.raises(ValueError):
+            geom.evaluate(np.zeros((scenario.num_nodes, scenario.num_contents + 1)))
 
 
 @st.composite

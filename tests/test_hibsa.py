@@ -146,6 +146,18 @@ class TestDualStep:
         out = dual_step(mu, grad_mu(PathGeometry(small_scenario).evaluate(S.X), S.Q), 5, 1.0)
         assert np.all(out >= 0.0)
 
+    def test_subnormal_entry_is_exactly_zero(self):
+        # gamma(16) = 1/2 halves mu; half the smallest normal float is subnormal
+        tiny = np.finfo(float).tiny
+        out = dual_step(np.array([[tiny, 1.0, 4 * tiny]]), np.zeros((1, 3)), 16, 1.0)
+        assert out.tolist() == [[0.0, 0.5, 2 * tiny]]
+        assert not np.signbit(out).any()
+
+    def test_nan_gradient_stays_nan(self):
+        out = dual_step(np.ones((1, 3)), np.array([[np.nan, -5.0, 1.0]]), 1, 1.0)
+        assert np.isnan(out[0, 0])
+        assert out[0, 1:].tolist() == [0.0, 1.0]
+
 
 class TestPrimalStep:
     def test_stays_feasible(self, small_scenario):

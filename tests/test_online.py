@@ -57,6 +57,15 @@ class TestRequestStreams:
         seq_b = [b.draw_counts()[0] for _ in range(20)]
         assert seq_a == seq_b
 
+    def test_mean_too_large_to_draw_is_rejected(self):
+        # numpy draws no Poisson count above about 9.2e18; nothing is drawn here
+        with pytest.raises(ValueError, match=r"request 1: .* = 1e\+19 cannot be drawn"):
+            RequestStreams(0, np.array([1.0, 1e19, 2.0]), 1.0)
+
+    def test_run_with_mean_too_large_is_rejected(self, small_scenario):
+        with pytest.raises(ValueError, match="request 0: Poisson mean"):
+            run_online(small_scenario, OnlineConfig(slot_length=1e300, num_slots=2))
+
     def test_deterministic(self):
         rates = np.array([0.5, 2.0])
         a = RequestStreams(3, rates, 1.0)

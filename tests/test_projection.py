@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (project_cache_row, project_delivery_row, qp_cache_oracle,
                      qp_simplex_oracle)
 from simcache.model import Network, Scenario
-from simcache.projection import clamp_dual, project_cache_matrix, project_delivery_matrix
+from simcache.projection import project_cache_matrix, project_delivery_matrix
 
 finite_rows = arrays(
     np.float64, st.integers(min_value=1, max_value=8),
@@ -182,18 +182,6 @@ class TestDeliveryRow:
             a, b = rng.uniform(-2, 3, size=(2, n))
             pa, pb = project_delivery_row(a), project_delivery_row(b)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-9
-
-
-class TestClampDual:
-    def test_identity_when_nonnegative(self):
-        mu = np.array([[0.0, 2.5], [1.0, 0.1]])
-        assert np.array_equal(clamp_dual(mu), mu)
-
-    def test_mixed(self):
-        assert np.array_equal(clamp_dual(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-    def test_all_negative(self):
-        assert np.array_equal(clamp_dual(np.array([-3.0, -0.1])), [0.0, 0.0])
 
 
 class TestMatrixForms:

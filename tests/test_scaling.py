@@ -7,9 +7,9 @@ step, twice the dual step and twice the stop threshold, the scaled copy
 must then take exactly the same primal iterates, with the multipliers
 doubled.  A kernel that mixes units (alpha applied twice, a delay added
 to an availability, a primal step size in the dual) breaks the identity
-at once, with no oracle and no tolerance.  Doubling a subnormal product
-does not commute with rounding, so mu is pinned only on solves that end
-with no subnormal entry.
+at once, with no oracle and no tolerance.  The dual step sets subnormal
+multipliers to exactly 0, so mu is pinned on every point, including one
+that ends with subnormal multipliers before the flush.
 """
 
 from dataclasses import replace
@@ -33,15 +33,7 @@ def doubled(s):
     return replace(s, network=net, alpha=2.0 * s.alpha)
 
 
-def no_subnormal(a):
-    return not np.any((a != 0.0) & (np.abs(a) < np.finfo(float).tiny))
-
-
-@pytest.mark.parametrize("pin_delivery", [False, True], ids=["similarity", "adaptive"])
-@pytest.mark.parametrize("seed", [4, 1])
-def test_offline_solve_scales_exactly(seed, pin_delivery):
-    s = generate_scenario(GenConfig(seed=seed, alpha=10.0))
-    cfg = SolverConfig(pin_delivery=pin_delivery)
+def assert_offline_solve_scales(s, cfg, doubled_columns=DOUBLED):
     a = solve_offline(s, cfg)
     b = solve_offline(doubled(s), replace(cfg, eta_s=cfg.eta_s / 2,
                                           eta_mu=cfg.eta_mu * 2, delta=cfg.delta * 2))
@@ -56,10 +48,26 @@ def test_offline_solve_scales_exactly(seed, pin_delivery):
     assert b.rounded.dissimilarity_cost == a.rounded.dissimilarity_cost
     for ra, rb in zip(a.trace.rows, b.trace.rows):
         ra, rb = dict(zip(TRACE_COLUMNS, ra)), dict(zip(TRACE_COLUMNS, rb))
-        assert all(rb[c] == 2 * ra[c] for c in DOUBLED), ra["n"]
+        assert all(rb[c] == 2 * ra[c] for c in doubled_columns), ra["n"]
         assert all(rb[c] == ra[c] for c in EQUAL), ra["n"]
-    assert no_subnormal(a.dual)
     assert np.array_equal(b.dual, 2 * a.dual)
+
+
+@pytest.mark.parametrize("pin_delivery", [False, True], ids=["similarity", "adaptive"])
+@pytest.mark.parametrize("seed", [4, 1])
+def test_offline_solve_scales_exactly(seed, pin_delivery):
+    s = generate_scenario(GenConfig(seed=seed, alpha=10.0))
+    assert_offline_solve_scales(s, SolverConfig(pin_delivery=pin_delivery))
+
+
+def test_offline_solve_with_vanishing_multipliers_scales_exactly():
+    # converges in 4,423 iterations; without the flush its mu ends with
+    # 169 subnormal entries, and the doubled copy's differs from 2 mu at 162.
+    # dual_norm squares multipliers below sqrt(tiny) into subnormals, and
+    # from row 3,923 on it does not double exactly (it reads 0 for a nonzero
+    # mu), so it is left out here; mu itself is pinned
+    s = generate_scenario(GenConfig(seed=9, alpha=3.0))
+    assert_offline_solve_scales(s, SolverConfig(), ("lagrangian", "objective", "expected_delay"))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -79,7 +87,6 @@ def test_online_run_scales_exactly(seed):
         assert ob.lagrangian == 2 * oa.lagrangian, oa.slot
     assert np.array_equal(a.final_state.X, b.final_state.X)
     assert np.array_equal(a.final_state.Q, b.final_state.Q)
-    assert no_subnormal(a.final_dual)
     assert np.array_equal(b.final_dual, 2 * a.final_dual)
 
 
