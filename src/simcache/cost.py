@@ -59,6 +59,8 @@ class PathGeometry:
         lane = np.arange(2 * F)  # the entries of one trie node's row [T | A]
         paths = [r.path.nodes for r in s.requests]
         lengths = np.array([len(p) for p in paths], dtype=np.intp)
+        if not lengths.all():  # an EmptyPath violation
+            raise ValueError(f"request {int(lengths.argmin())} path is empty")
         flat = np.fromiter(chain.from_iterable(paths), np.intp, int(lengths.sum()))
         order = np.argsort(-lengths, kind="stable")  # so the paths reaching a level are a prefix
         last = (lengths.cumsum() - 1)[order]  # each path's terminal node in flat, in that order
@@ -75,7 +77,6 @@ class PathGeometry:
             self.start[order[reach[depth + 1]:n]] = bounds[-1] + up[reach[depth + 1]:n]
             bounds.append(bounds[-1] + keys.size)
         N, terminals = bounds[-1], bounds[min(1, len(bounds) - 1)]
-        self.start[lengths == 0] = N  # an empty path starts at the sentinel
         self.node, local = np.concatenate(node), np.concatenate(local)
         # a level's parents are numbered from the first of the level before; N at the terminals
         self.parent = local + np.repeat(np.array([N, *bounds[:-2]], np.intp)[:len(bounds) - 1],
@@ -104,8 +105,9 @@ class PathGeometry:
         self.start_index = (self.start[:, None] * 2 * F + lane).ravel()
         self.rates = s.rates()
         self.req_content = np.array([r.content for r in s.requests], dtype=int)
-        # dissimilarity row of each request's content: (R, F)
+        # dissimilarity row of each request's content, and alpha times it: (R, F)
         self.d_rows = s.dissimilarity[self.req_content, :].copy()
+        self.alpha_d = s.alpha * self.d_rows
 
     def evaluate(self, X: np.ndarray, out: PathTerms | None = None) -> PathTerms:
         """The path terms of caching iterate X; the only gather of (1 - x).
@@ -126,8 +128,7 @@ class PathGeometry:
             np.multiply(w, Y[a:b], out=Z[a:b])
         Z[:, 0].take(self.start, 0, out.delays, 'clip')
         Z[:, 1].take(self.start, 0, out.avail, 'clip')
-        np.multiply(self.scenario.alpha, self.d_rows, out=out.costs)
-        np.add(out.delays, out.costs, out=out.costs)
+        np.add(out.delays, self.alpha_d, out=out.costs)
         return out
 
     def delays(self, X: np.ndarray) -> np.ndarray:
@@ -146,7 +147,8 @@ class PathGeometry:
 class PathTerms:
     """Path quantities of one caching iterate X, shared by every cost and
     gradient evaluated at X; the delivery Q and multipliers mu are passed in.
-    ``PathGeometry.evaluate`` fills every array, the costs after the delays."""
+    ``PathGeometry.evaluate`` fills every array, the costs after the delays.
+    Each rate-weighted total is a numpy pairwise sum, so no BLAS kernel sets its bits."""
 
     geom: PathGeometry
     Y: np.ndarray  # (N, 2, F) 1 - x at each trie node, in both blocks
@@ -160,17 +162,17 @@ class PathTerms:
         return Q * self.avail
 
     def objective(self, Q: np.ndarray) -> float:
-        return float(np.dot(self.geom.rates, (Q * self.costs).sum(axis=1)))
+        return float((self.geom.rates * (Q * self.costs).sum(axis=1)).sum())
 
     def expected_delay(self, Q: np.ndarray) -> float:
-        return float(np.dot(self.geom.rates, (Q * self.delays).sum(axis=1)))
+        return float((self.geom.rates * (Q * self.delays).sum(axis=1)).sum())
 
     def dissimilarity_cost(self, Q: np.ndarray) -> float:
         """Rate-weighted dissimilarity component (unweighted by alpha)."""
-        return float(np.dot(self.geom.rates, (Q * self.geom.d_rows).sum(axis=1)))
+        return float((self.geom.rates * (Q * self.geom.d_rows).sum(axis=1)).sum())
 
     def lagrangian(self, Q: np.ndarray, mu: np.ndarray, objective=None, h=None) -> float:
         """objective(Q) + rate-weighted <mu, h>; pass Q's objective and h if already formed."""
         h = self.violations(Q) if h is None else h
         objective = self.objective(Q) if objective is None else objective
-        return objective + float(np.dot(self.geom.rates, (mu * h).sum(axis=1)))
+        return objective + float((self.geom.rates * (mu * h).sum(axis=1)).sum())

@@ -57,17 +57,10 @@ class IntegerSolution:
 
 def initial_state(s: Scenario, cfg: SolverConfig) -> PrimalState:
     """Feasible start: capacity-tight uniform caching, uniform delivery."""
-    V, F, R = s.num_nodes, s.num_contents, s.num_requests
-    pins = s.source_mask()
-    X = np.zeros((V, F))
-    for v in range(V):
-        k = F - int(pins[v].sum())
-        if k > 0:
-            X[v, ~pins[v]] = min(1.0, s.capacities[v] / k)
-    X[pins] = 1.0
-    Q = np.full((R, F), 1.0 / F)
-    if cfg.pin_delivery:
-        Q = identity_delivery(s)
+    F, pins = s.num_contents, s.source_mask()
+    free = F - pins.sum(axis=1)  # non-source contents per node
+    X = np.where(pins, 1.0, np.minimum(1.0, s.capacities / np.maximum(free, 1))[:, None])
+    Q = identity_delivery(s) if cfg.pin_delivery else np.full((s.num_requests, F), 1.0 / F)
     return PrimalState(X, Q)
 
 
@@ -192,11 +185,13 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
         terms = geom.evaluate(S.X, out=terms)
         h = terms.violations(S.Q)
         mu = dual_step(mu, grad_mu(terms, S.Q, h=h), n, cfg.eta_mu)
-        objective, m = terms.objective(S.Q), mu.ravel()
+        objective = terms.objective(S.Q)
         L = terms.lagrangian(S.Q, mu, objective, h)
+        # norm(mu) scaled by its top entry (mu >= 0), as dnrm2: no square underflows
+        top = float(mu.max(initial=0.0))
         trace.rows.append((n, L, objective, terms.expected_delay(S.Q),
                            terms.dissimilarity_cost(S.Q), float(h.max()) if h.size else 0.0,
-                           math.sqrt(m.dot(m))))  # norm(mu), to the bit
+                           top * math.sqrt(((mu / top) ** 2).sum()) if top else 0.0))
         if abs(L - L_prev) <= cfg.delta:
             stop_reason = "converged"
             break

@@ -41,7 +41,7 @@ class TestAdaptiveCaching:
 class TestPerCacheConfig:
     @pytest.mark.parametrize("kw", [dict(insert_prob=-0.1), dict(insert_prob=1.5),
                                     dict(num_slots=0), dict(slot_length=0.0),
-                                    dict(delay_window=0), dict(insert_prob=np.nan),
+                                    dict(insert_prob=np.nan),
                                     dict(slot_length=np.nan), dict(slot_length=np.inf),
                                     dict(seed=-1)])
     def test_rejects_bad_values(self, kw):

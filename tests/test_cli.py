@@ -1,13 +1,21 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import simcache
 from simcache import cli
 from simcache.cli import main
 
+# the generator flags of generate and sweep; sweep takes its seeds from --seeds
 GEN_FLAGS = ["--nodes-side", "3", "--contents", "4", "--requests", "6",
-             "--origins", "4", "--capacity", "1", "--seed", "2"]
+             "--origins", "4", "--capacity", "1"]
+GENERATE = ["generate", *GEN_FLAGS, "--seed", "2"]
 
 
 def run(args):
@@ -16,7 +24,7 @@ def run(args):
 
 def write_scenario(tmp_path, extra=()):
     p = tmp_path / "scenario.json"
-    res = run(["generate", *GEN_FLAGS, *extra, "--out", str(p)])
+    res = run([*GENERATE, *extra, "--out", str(p)])
     assert res.exit_code == 0
     return p
 
@@ -24,7 +32,7 @@ def write_scenario(tmp_path, extra=()):
 class TestGenerate:
     def test_writes_valid_scenario(self, tmp_path):
         p = tmp_path / "s.json"
-        res = run(["generate", *GEN_FLAGS, "--out", str(p)])
+        res = run([*GENERATE, "--out", str(p)])
         assert res.exit_code == 0
         assert "validation: ok" in res.output
         doc = json.loads(p.read_text())
@@ -45,15 +53,15 @@ class TestGenerate:
                                       ["--alpha", "nan"]])
     def test_rejects_nonfinite_options_before_writing(self, tmp_path, flag):
         out = tmp_path / "s.json"
-        res = run(["generate", *GEN_FLAGS, *flag, "--out", str(out)])
+        res = run([*GENERATE, *flag, "--out", str(out)])
         assert res.exit_code == 2
         assert "finite" in res.output
         assert not out.exists()
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(["generate", *GEN_FLAGS, "--out", str(a)])
-        run(["generate", *GEN_FLAGS, "--out", str(b)])
+        run([*GENERATE, "--out", str(a)])
+        run([*GENERATE, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -157,13 +165,22 @@ class TestOptionErrors:
     @pytest.mark.parametrize("args", [
         ["generate", "--seed", "-1"],
         ["sweep", "--values", "10", "--seeds=-1"],
-        ["sweep", "--values", "10", "--seeds", "0", "--seed", "-3"],
     ])
     def test_negative_seed_writes_nothing(self, tmp_path, args):
         out = tmp_path / "x"
         res = run([*args, "--out", str(out)])
         assert res.exit_code == 2
         assert "must" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-3", "0"])
+    def test_sweep_has_no_seed_option(self, tmp_path, seed):
+        # --seeds picks a sweep's instances; a lone --seed is unknown
+        out = tmp_path / "x"
+        res = run(["sweep", "--values", "10", "--seeds", "0", "--seed", seed,
+                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize("baseline", [[], ["--baseline", "per-cache"]],
@@ -444,3 +461,75 @@ class TestOnline:
         ref = lines[1].split(",")[-1]
         assert ref != ""
         assert float(ref) >= 0.0
+
+
+# the name of the BLAS kernel that numpy's OpenBLAS loaded, printed by a child
+# process; numpy's wheels bundle OpenBLAS under numpy.libs
+CORENAME = """
+import ctypes, glob, os, numpy
+lib, = glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs",
+                              "*openblas*"))
+name = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+name.restype = ctypes.c_char_p
+print(name().decode())
+"""
+
+# run each command line of argv[1] (a JSON list) in one process
+RUN_COMMANDS = """
+import json, sys
+from simcache.cli import main
+for args in json.loads(sys.argv[1]):
+    main(args, standalone_mode=False)
+"""
+
+
+def run_child(script, *args, coretype=None):
+    """``python -c script *args`` on this checkout's simcache, under the
+    OpenBLAS kernel ``coretype`` (None: the one OpenBLAS picks for the CPU)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(simcache.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
+class TestBlasKernel:
+    """The output bytes do not depend on the BLAS kernel.  OpenBLAS built
+    with DYNAMIC_ARCH picks its kernel at run time, from the CPU or from
+    OPENBLAS_CORETYPE; Prescott (SSE3) loads on every x86-64 CPU."""
+
+    FORCED = "Prescott"
+
+    def test_outputs_do_not_depend_on_the_kernel(self, tmp_path):
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip(f"OpenBLAS has no {self.FORCED} kernel on {platform.machine()}")
+        names = [run_child(CORENAME, coretype=c) for c in (None, self.FORCED)]
+        for n in names:
+            if n.returncode:
+                pytest.skip("numpy's OpenBLAS does not report its kernel: " + n.stderr)
+        if names[0].stdout == names[1].stdout:
+            pytest.skip(f"OPENBLAS_CORETYPE={self.FORCED} loads no other kernel than "
+                        f"{names[0].stdout.strip()}: not a DYNAMIC_ARCH build")
+        p = tmp_path / "scenario.json"
+        assert run(["generate", "--seed", "1", "--out", str(p)]).exit_code == 0
+        outs = []
+        for kernel in ("default", self.FORCED):
+            out = tmp_path / kernel
+            commands = [
+                ["solve", "--scenario", str(p), "--max-iters", "300",
+                 "--out", str(out / "solve")],
+                ["online", "--scenario", str(p), "--slots", "200",
+                 "--out", str(out / "online")],
+                ["sweep", "--values", "10", "--seeds", "1", "--schemes", "similarity",
+                 "--max-iters", "300", "--out", str(out / "sweep")],
+            ]
+            res = run_child(RUN_COMMANDS, json.dumps(commands),
+                            coretype=None if kernel == "default" else kernel)
+            assert res.returncode == 0, res.stderr
+            outs.append({f.relative_to(out): f.read_bytes()
+                         for f in sorted(out.rglob("*")) if f.is_file()})
+        assert len(outs[0]) == 8  # trace, solution, summary, slots, sweep, 3 manifests
+        assert outs[0].keys() == outs[1].keys()
+        assert [str(f) for f in outs[0] if outs[0][f] != outs[1][f]] == []

@@ -342,7 +342,6 @@ class TestSuffixTrie:
         pytest.param(lambda: hand_trie_scenario(*SHARED_SUFFIXES), id="shared-suffixes"),
         pytest.param(lambda: hand_trie_scenario((3,), (1,), (3,), (4,)), id="one-node-paths"),
         pytest.param(lambda: hand_trie_scenario(), id="no-requests"),
-        pytest.param(lambda: hand_trie_scenario((), (2, 3)), id="empty-path"),
     ])
     def test_numbering_equals_the_sorted_suffixes(self, make):
         assert_numbered_as_sorted_suffixes(make())
@@ -350,6 +349,11 @@ class TestSuffixTrie:
     def test_a_hop_that_is_no_edge_raises(self):
         with pytest.raises(KeyError):
             PathGeometry(hand_trie_scenario((4, 2, 3), (0, 3)))
+
+    def test_an_empty_path_raises(self):
+        # validate_scenario reports it as EmptyPath; the geometry has no node for it
+        with pytest.raises(ValueError, match="request 1 path is empty"):
+            PathGeometry(hand_trie_scenario((2, 3), (), ()))
 
     @settings(max_examples=100, deadline=None)
     @given(tree_scenarios())

@@ -1,11 +1,13 @@
 import gc
 import tracemalloc
 from collections import deque
+from dataclasses import fields
 from itertools import groupby
 
 import numpy as np
 import pytest
 
+from simcache.baselines import PerCacheConfig
 from simcache.cost import PathGeometry
 from simcache.gradients import grad_mu, grad_q, grad_x
 from simcache.hibsa import (SolverConfig, dual_step, initial_state,
@@ -25,9 +27,16 @@ class TestConfig:
         assert cfg.eta_x == 1e-3 and cfg.eta_q == 1e-3
         assert cfg.delay_window == 10
 
+    @pytest.mark.parametrize("cls", [OnlineConfig, PerCacheConfig])
+    def test_the_window_is_no_option(self, cls):
+        assert "delay_window" not in {f.name for f in fields(cls)}
+        assert cls().delay_window == 10
+        with pytest.raises(TypeError):
+            cls(delay_window=4)
+
     @pytest.mark.parametrize("kw", [dict(slot_length=0.0), dict(eta_x=-1.0),
                                     dict(eta_q=0.0), dict(num_slots=0),
-                                    dict(delay_window=0), dict(slot_length=np.inf),
+                                    dict(slot_length=np.inf),
                                     dict(slot_length=np.nan), dict(eta_x=np.nan),
                                     dict(eta_q=np.inf), dict(eta_mu=np.nan),
                                     dict(eta_mu=np.inf), dict(seed=-1)])
@@ -314,11 +323,11 @@ class TestRunOnline:
 
     def test_windowed_delay_averages_recent_slots(self):
         s = make_line_scenario(rate=3.0)
-        cfg = OnlineConfig(num_slots=15, seed=8, delay_window=4)
+        cfg = OnlineConfig(num_slots=15, seed=8)  # the last 5 slots drop the first ones
         res = run_online(s, cfg)
         slot_totals = [sum(t[2] for t in o.triples) for o in res.outcomes]
         for i, o in enumerate(res.outcomes):
-            lo = max(0, i - 3)
+            lo = max(0, i + 1 - cfg.delay_window)
             window = slot_totals[lo:i + 1]
             assert o.windowed_delay == pytest.approx(sum(window) / len(window))
 
@@ -327,7 +336,7 @@ class TestRunOnline:
     def test_windowed_sums_are_the_slot_totals(self, seed, rho):
         # each slot total sums count x value per request, in request order
         s = generate_scenario(GenConfig(seed=seed, rho=rho))
-        cfg = OnlineConfig(num_slots=200, seed=seed, delay_window=7, slot_length=0.5)
+        cfg = OnlineConfig(num_slots=200, seed=seed, slot_length=0.5)
         res = run_online(s, cfg)
         delay_hist = deque(maxlen=cfg.delay_window)
         dissim_hist = deque(maxlen=cfg.delay_window)

@@ -33,7 +33,7 @@ def doubled(s):
     return replace(s, network=net, alpha=2.0 * s.alpha)
 
 
-def assert_offline_solve_scales(s, cfg, doubled_columns=DOUBLED):
+def assert_offline_solve_scales(s, cfg):
     a = solve_offline(s, cfg)
     b = solve_offline(doubled(s), replace(cfg, eta_s=cfg.eta_s / 2,
                                           eta_mu=cfg.eta_mu * 2, delta=cfg.delta * 2))
@@ -48,7 +48,7 @@ def assert_offline_solve_scales(s, cfg, doubled_columns=DOUBLED):
     assert b.rounded.dissimilarity_cost == a.rounded.dissimilarity_cost
     for ra, rb in zip(a.trace.rows, b.trace.rows):
         ra, rb = dict(zip(TRACE_COLUMNS, ra)), dict(zip(TRACE_COLUMNS, rb))
-        assert all(rb[c] == 2 * ra[c] for c in doubled_columns), ra["n"]
+        assert all(rb[c] == 2 * ra[c] for c in DOUBLED), ra["n"]
         assert all(rb[c] == ra[c] for c in EQUAL), ra["n"]
     assert np.array_equal(b.dual, 2 * a.dual)
 
@@ -62,12 +62,9 @@ def test_offline_solve_scales_exactly(seed, pin_delivery):
 
 def test_offline_solve_with_vanishing_multipliers_scales_exactly():
     # converges in 4,423 iterations; without the flush its mu ends with
-    # 169 subnormal entries, and the doubled copy's differs from 2 mu at 162.
-    # dual_norm squares multipliers below sqrt(tiny) into subnormals, and
-    # from row 3,923 on it does not double exactly (it reads 0 for a nonzero
-    # mu), so it is left out here; mu itself is pinned
+    # 169 subnormal entries, and the doubled copy's differs from 2 mu at 162
     s = generate_scenario(GenConfig(seed=9, alpha=3.0))
-    assert_offline_solve_scales(s, SolverConfig(), ("lagrangian", "objective", "expected_delay"))
+    assert_offline_solve_scales(s, SolverConfig())
 
 
 @pytest.mark.parametrize("seed", [0, 1])
