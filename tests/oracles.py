@@ -3,8 +3,10 @@
 These deliberately avoid the package's vectorized evaluation paths: plain
 per-term loops over the math, plus exhaustive enumeration for tiny
 instances.  They must stay independent of the code they check.  The
-helpers at the end of the file are the exception: they call the package's
-Lagrangian and matrix projections, and only the tests use them.
+helpers near the end of the file are the exception: they call the package's
+Lagrangian and matrix projections, and only the tests use them.  Last come
+earlier vectorized forms of the two matrix projections, references that
+the package's faster kernels must match byte for byte.
 """
 
 import heapq
@@ -402,3 +404,45 @@ def project_delivery_row(q: np.ndarray) -> np.ndarray:
     """Project onto the probability simplex {y >= 0, sum y = 1}
     (one row of project_delivery_matrix)."""
     return project_delivery_matrix(np.asarray(q, dtype=float)[None, :])[0]
+
+
+# -- reference forms of the matrix projections -----------------------------
+# The earlier, plainer vectorized forms of the package's projections.  The
+# package's kernels must give the same bytes, the sign of zero included.
+
+
+def reference_project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
+                                   source_mask: np.ndarray) -> np.ndarray:
+    out = X.clip(0.0, 1.0)
+    out[source_mask] = 1.0
+    free = ~source_mask
+    free_sum = np.where(free, out, 0.0).sum(axis=1)
+    caps = capacities.astype(float)
+    over = free_sum > caps
+    if not over.any():
+        return out
+
+    Xo, fo, target = X[over], free[over], caps[over]
+    F = X.shape[1]
+    z = np.where(fo, Xo, -1.0)
+    breaks = np.concatenate([z - 1.0, z], axis=1)
+    order = breaks.argsort(axis=1)
+    rows = np.arange(len(breaks))
+    b = breaks[rows[:, None], order]
+    slope = np.where(order < F, -1.0, 1.0).cumsum(axis=1)
+    drop = slope[:, :-1] * (b[:, 1:] - b[:, :-1])
+    g = F + np.concatenate([np.zeros((len(b), 1)), drop], axis=1).cumsum(axis=1)
+    j = (g >= target[:, None]).sum(axis=1) - 1
+    theta = b[rows, j] + (g[rows, j] - target) / np.maximum(-slope[rows, j], 1.0)
+    out[over] = np.where(fo, (Xo - theta[:, None]).clip(0.0, 1.0), 1.0)
+    return out
+
+
+def reference_project_delivery_matrix(Q: np.ndarray) -> np.ndarray:
+    u = np.sort(Q, axis=1)[:, ::-1]
+    css = u.cumsum(axis=1) - 1.0
+    j = np.arange(1, Q.shape[1] + 1)[None, :]
+    cond = u - css / j > 0
+    rho = cond.shape[1] - 1 - cond[:, ::-1].argmax(axis=1)
+    theta = css[np.arange(Q.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(Q - theta[:, None], 0.0)

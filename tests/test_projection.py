@@ -4,10 +4,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import MID
 from oracles import (project_cache_row, project_delivery_row, qp_cache_oracle,
-                     qp_simplex_oracle)
+                     qp_simplex_oracle, reference_project_cache_matrix,
+                     reference_project_delivery_matrix)
+from simcache import hibsa
+from simcache.hibsa import SolverConfig, solve_offline
 from simcache.model import Network, Scenario
 from simcache.projection import project_cache_matrix, project_delivery_matrix
+from simcache.scenario import GenConfig, generate_scenario
 
 finite_rows = arrays(
     np.float64, st.integers(min_value=1, max_value=8),
@@ -30,6 +35,13 @@ def cache_matrices(draw):
     caps = draw(arrays(int, V, elements=st.integers(0, F + 1)))
     pins = draw(arrays(bool, (V, F)))
     return X, caps, pins
+
+
+# delivery rows with exact zeros of both signs and repeated values
+delivery_matrices = arrays(
+    float, st.tuples(st.integers(1, 5), st.integers(1, 7)),
+    elements=st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0]),
+                       st.floats(min_value=-3, max_value=3, allow_nan=False)))
 
 
 class TestCacheRow:
@@ -202,3 +214,40 @@ class TestMatrixForms:
         full = project_delivery_matrix(Q)
         for r in range(Q.shape[0]):
             assert np.allclose(full[r], project_delivery_row(Q[r]), atol=1e-9)
+
+
+class TestSameBytesAsTheReference:
+    """The matrix projections give the bytes of the reference forms in
+    ``oracles``, the sign of zero included, not only values within a
+    tolerance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cache_matrices())
+    def test_cache_matrix(self, case):
+        X, caps, pins = case
+        assert (project_cache_matrix(X, caps, pins).tobytes()
+                == reference_project_cache_matrix(X, caps, pins).tobytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(delivery_matrices)
+    def test_delivery_matrix(self, Q):
+        assert (project_delivery_matrix(Q).tobytes()
+                == reference_project_delivery_matrix(Q).tobytes())
+
+    def test_on_solver_iterates(self, monkeypatch):
+        # every projection of a 20-iteration mid solve, on its own input
+        seen = []
+
+        def checked(project, reference):
+            def run(*args):
+                out = project(*args)
+                seen.append(out.tobytes() == reference(*args).tobytes())
+                return out
+            return run
+
+        monkeypatch.setattr(hibsa, "project_cache_matrix", checked(
+            project_cache_matrix, reference_project_cache_matrix))
+        monkeypatch.setattr(hibsa, "project_delivery_matrix", checked(
+            project_delivery_matrix, reference_project_delivery_matrix))
+        solve_offline(generate_scenario(GenConfig(seed=0, **MID)), SolverConfig(max_iters=20))
+        assert len(seen) == 40 and all(seen)
