@@ -11,7 +11,10 @@ returns the `PathTerms` of iterate X: T and A at each request's start
 node, the per-delivery costs T + alpha * d, and each node's bracket
 W(u) = [tau(u) + T(parent) | A(parent)], from which the gradients take
 dL/dx.  Every cost quantity is defined on `PathTerms`; the tests check
-them against per-term oracles.
+them against per-term oracles.  Every rate-weighted total is one row of
+one reduction, `PathTerms.totals`, so a caller that needs several pays
+for one multiply by the rates and one sum, and reads only the totals it
+asks for.
 
 A `PathTerms` is five arrays that it owns, and the caller of `evaluate`
 owns the terms.  `evaluate(X, out=terms)`, like numpy's ``out=``,
@@ -148,7 +151,8 @@ class PathTerms:
     """Path quantities of one caching iterate X, shared by every cost and
     gradient evaluated at X; the delivery Q and multipliers mu are passed in.
     ``PathGeometry.evaluate`` fills every array, the costs after the delays.
-    Each rate-weighted total is a numpy pairwise sum, so no BLAS kernel sets its bits."""
+    Every rate-weighted total comes from ``totals``, as a numpy pairwise
+    sum, so no BLAS kernel sets its bits."""
 
     geom: PathGeometry
     Y: np.ndarray  # (N, 2, F) 1 - x at each trie node, in both blocks
@@ -161,18 +165,30 @@ class PathTerms:
         """(R, F) matrix of h_{(f,p),f'}(X, Q)."""
         return Q * self.avail
 
+    def totals(self, *pairs) -> list:
+        """sum over requests r of rate_r * sum over f of a[r, f] * b[r, f],
+        for each (R, F) pair (a, b).  Each pair's row sums fill one row of a
+        (pairs, R) buffer; one multiply by the rates and one reduction of
+        the rows give every total, each the pairwise sum that ``.sum()``
+        takes of that row alone."""
+        rows = np.empty((len(pairs), self.geom.rates.size))
+        product = np.empty_like(self.costs)
+        for (a, b), row in zip(pairs, rows):
+            np.add.reduce(np.multiply(a, b, out=product), axis=1, out=row)
+        rows *= self.geom.rates
+        return np.add.reduce(rows, axis=1).tolist()
+
     def objective(self, Q: np.ndarray) -> float:
-        return float((self.geom.rates * (Q * self.costs).sum(axis=1)).sum())
+        return self.totals((Q, self.costs))[0]
 
     def expected_delay(self, Q: np.ndarray) -> float:
-        return float((self.geom.rates * (Q * self.delays).sum(axis=1)).sum())
+        return self.totals((Q, self.delays))[0]
 
     def dissimilarity_cost(self, Q: np.ndarray) -> float:
         """Rate-weighted dissimilarity component (unweighted by alpha)."""
-        return float((self.geom.rates * (Q * self.geom.d_rows).sum(axis=1)).sum())
+        return self.totals((Q, self.geom.d_rows))[0]
 
-    def lagrangian(self, Q: np.ndarray, mu: np.ndarray, objective=None, h=None) -> float:
-        """objective(Q) + rate-weighted <mu, h>; pass Q's objective and h if already formed."""
-        h = self.violations(Q) if h is None else h
-        objective = self.objective(Q) if objective is None else objective
-        return objective + float((self.geom.rates * (mu * h).sum(axis=1)).sum())
+    def lagrangian(self, Q: np.ndarray, mu: np.ndarray) -> float:
+        """objective(Q) + rate-weighted <mu, h>."""
+        objective, dual = self.totals((Q, self.costs), (mu, self.violations(Q)))
+        return objective + dual

@@ -125,13 +125,16 @@ def dual_step(mu: np.ndarray, g_mu: np.ndarray, n: int,
 def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
     """Per node: pin sources, then cache the capacity-many non-source
     contents with largest fractional value (ties to smaller content id).
-    Values are ranked on a 1e-12 grid, so rounding noise counts as a tie."""
+    Values are ranked on a 1e-12 grid, so rounding noise counts as a tie.
+    One stable argsort ranks every row; its first ``capacity`` entries are
+    set through their flat indexes."""
     pins = s.source_mask()
+    V, F = X.shape
     # stable: ties keep id order; pinned entries sort after the free ones
-    order = np.argsort(np.where(pins, np.inf, -np.round(X, 12)), axis=1, kind="stable")
-    rank = np.argsort(order, axis=1)
-    out = np.zeros_like(X)
-    out[pins | (rank < np.asarray(s.capacities)[:, None])] = 1.0
+    order = np.where(pins, np.inf, -X.round(12)).argsort(axis=1, kind="stable")
+    order += np.arange(0, V * F, F)[:, None]
+    out = pins.astype(float)
+    out.put(order[np.arange(F) < s.capacities[:, None]], 1.0)
     return out
 
 
@@ -159,18 +162,29 @@ class SolveResult:
 def evaluate_integer(terms: PathTerms, X_int: np.ndarray,
                      Q_int: np.ndarray) -> IntegerSolution:
     """The rounded solution and its costs; ``terms`` are those of X_int."""
-    return IntegerSolution(X_int, Q_int, terms.objective(Q_int),
-                           terms.expected_delay(Q_int), terms.dissimilarity_cost(Q_int))
+    return IntegerSolution(X_int, Q_int, *terms.totals(
+        (Q_int, terms.costs), (Q_int, terms.delays), (Q_int, terms.geom.d_rows)))
+
+
+def dual_norm(mu: np.ndarray) -> float:
+    """norm(mu) scaled by its top entry (mu >= 0), as dnrm2: no square
+    underflows.  The scaled copy lives only in this call."""
+    top = float(np.maximum.reduce(mu, axis=None, initial=0.0))
+    if not top:
+        return 0.0
+    scaled = mu / top
+    return top * math.sqrt(np.add.reduce(np.square(scaled, out=scaled), axis=None))
 
 
 def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     """Iterate primal/dual steps until |L(n+1) - L(n)| <= delta or the
     iteration budget runs out, then round greedily.  One iterate steps X
     and Q at the last path terms, evaluates the new ones once, takes the
-    dual step there, and forms its violations and objective once each for
-    the mu-gradient, the Lagrangian and the trace row; each product is
-    built once.  One set of path terms is refilled in place for every
-    iterate, then for the rounded caching."""
+    dual step there, and forms its violations once for the mu-gradient and
+    the trace row, whose four rate-weighted totals come from one
+    ``PathTerms.totals`` call; each product is built once.  One set of path
+    terms is refilled in place for every iterate, then for the rounded
+    caching."""
     cfg = cfg or SolverConfig()
     geom = PathGeometry(s)
     S = initial_state(s, cfg)
@@ -185,13 +199,12 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
         terms = geom.evaluate(S.X, out=terms)
         h = terms.violations(S.Q)
         mu = dual_step(mu, grad_mu(terms, S.Q, h=h), n, cfg.eta_mu)
-        objective = terms.objective(S.Q)
-        L = terms.lagrangian(S.Q, mu, objective, h)
-        # norm(mu) scaled by its top entry (mu >= 0), as dnrm2: no square underflows
-        top = float(mu.max(initial=0.0))
-        trace.rows.append((n, L, objective, terms.expected_delay(S.Q),
-                           terms.dissimilarity_cost(S.Q), float(h.max()) if h.size else 0.0,
-                           top * math.sqrt(((mu / top) ** 2).sum()) if top else 0.0))
+        objective, delay, dissim, dual = terms.totals(
+            (S.Q, terms.costs), (S.Q, terms.delays), (S.Q, geom.d_rows), (mu, h))
+        L = objective + dual
+        trace.rows.append((n, L, objective, delay, dissim,
+                           float(np.maximum.reduce(h, axis=None)) if h.size else 0.0,
+                           dual_norm(mu)))
         if abs(L - L_prev) <= cfg.delta:
             stop_reason = "converged"
             break

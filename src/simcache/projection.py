@@ -8,6 +8,15 @@ tolerance: a cache row is shifted by the root of a piecewise-linear
 budget function found from its sorted breakpoints (Wang and Lu,
 "Projection onto the Capped Simplex", arXiv:1503.01002), and a delivery
 row by the sort-and-threshold rule for the simplex.
+
+Both run thousands of times per solve on small matrices, where numpy's
+per-call overhead outweighs the arithmetic, so they are written for few
+calls and temporaries: sorted values and the ones at each row's root are
+gathered with one flat ``take`` at row offsets, the cache slopes are a
+row of signs gathered at the sort order, and in-place ufuncs replace
+fresh arrays.  Every sum and cumulative sum is the same, in the same
+order, as in the plainer forms that ``tests/oracles.py`` keeps, so the
+bytes are the same.
 """
 
 from __future__ import annotations
@@ -30,46 +39,61 @@ def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
     segment by a cumulative sum, a second cumulative sum gives g at every
     breakpoint, and theta is solved in closed form on the last segment
     whose left end still has g >= capacity (Wang and Lu, arXiv:1503.01002).
-    Pinned entries read as -1 there, so they add nothing for theta >= 0,
-    and are set to exactly 1.
+    Pinned entries read as -1 throughout, so they add nothing to the
+    clipped budget nor to g for theta >= 0, and are set to exactly 1.
     """
-    out = X.clip(0.0, 1.0)
+    z = np.where(source_mask, -1.0, X)
+    out = z.clip(0.0, 1.0)
+    over = np.add.reduce(out, axis=1) > capacities
+    if over.any():
+        zo, target = z[over], capacities[over]
+        k, F = zo.shape
+        breaks = np.concatenate([zo - 1.0, zo], axis=1)
+        order = breaks.argsort(axis=1)
+        first = np.arange(0, 2 * F * k, 2 * F)  # flat index of each row's start
+        b = breaks.take(order + first[:, None])
+        # slope of g right of each breakpoint; at the first one every entry
+        # reads 1, so g = F there
+        slope = np.array([-1.0] * F + [1.0] * F).take(order)
+        np.add.accumulate(slope, axis=1, out=slope)
+        g = np.empty_like(b)
+        g[:, 0] = 0.0
+        drop = g[:, 1:]
+        np.subtract(b[:, 1:], b[:, :-1], out=drop)
+        np.multiply(drop, slope[:, :-1], out=drop)
+        np.add.accumulate(g, axis=1, out=g)
+        g += F
+        # g is nonincreasing, so its entries >= target are a prefix; the root
+        # lies right of the prefix's last breakpoint j.  The slope there is 0
+        # only right of the last breakpoint, where g = 0 = target.
+        j = np.add.reduce(g >= target[:, None], axis=1)
+        j += first - 1
+        # theta = b + (g - target) / max(-slope, 1), written with min(slope, -1)
+        s = slope.take(j)
+        theta = g.take(j)
+        theta -= target
+        theta /= np.minimum(s, -1.0, out=s)
+        np.subtract(b.take(j), theta, out=theta)
+        np.subtract(zo, theta[:, None], out=zo)
+        out[over] = zo.clip(0.0, 1.0, out=zo)
     out[source_mask] = 1.0
-    free = ~source_mask
-    free_sum = np.where(free, out, 0.0).sum(axis=1)
-    caps = capacities.astype(float)
-    over = free_sum > caps
-    if not over.any():
-        return out
-
-    Xo, fo, target = X[over], free[over], caps[over]
-    F = X.shape[1]
-    z = np.where(fo, Xo, -1.0)
-    breaks = np.concatenate([z - 1.0, z], axis=1)
-    order = breaks.argsort(axis=1)
-    rows = np.arange(len(breaks))
-    b = breaks[rows[:, None], order]
-    # slope of g right of each breakpoint; at the first one every entry
-    # reads 1, so g = F there
-    slope = np.where(order < F, -1.0, 1.0).cumsum(axis=1)
-    drop = slope[:, :-1] * (b[:, 1:] - b[:, :-1])
-    g = F + np.concatenate([np.zeros((len(b), 1)), drop], axis=1).cumsum(axis=1)
-    # g is nonincreasing, so its entries >= target are a prefix; the root
-    # lies right of the prefix's last breakpoint j.  The slope there is 0
-    # only right of the last breakpoint, where g = 0 = target.
-    j = (g >= target[:, None]).sum(axis=1) - 1
-    theta = b[rows, j] + (g[rows, j] - target) / np.maximum(-slope[rows, j], 1.0)
-    out[over] = np.where(fo, (Xo - theta[:, None]).clip(0.0, 1.0), 1.0)
     return out
 
 
 def project_delivery_matrix(Q: np.ndarray) -> np.ndarray:
     """Row-wise simplex projection over all requests, vectorized
     (sort-and-threshold)."""
-    u = np.sort(Q, axis=1)[:, ::-1]
-    css = u.cumsum(axis=1) - 1.0
-    j = np.arange(1, Q.shape[1] + 1)[None, :]
-    cond = u - css / j > 0
-    rho = cond.shape[1] - 1 - cond[:, ::-1].argmax(axis=1)
-    theta = css[np.arange(Q.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(Q - theta[:, None], 0.0)
+    R, F = Q.shape
+    rank = np.arange(1.0, F + 1.0)
+    u = Q.copy()
+    u.sort(axis=1)
+    u = u[:, ::-1]
+    css = np.add.accumulate(u, axis=1)
+    css -= 1.0
+    cond = np.divide(css, rank)
+    np.subtract(u, cond, out=cond)
+    rho = F - 1 - (cond[:, ::-1] > 0).argmax(axis=1)
+    theta = css.take(rho + np.arange(0, R * F, F))
+    theta /= rank.take(rho)
+    out = np.subtract(Q, theta[:, None])
+    return np.maximum(out, 0.0, out=out)
