@@ -67,7 +67,7 @@ def project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
         # lies right of the prefix's last breakpoint j.  The slope there is 0
         # only right of the last breakpoint, where g = 0 = target.
         j = np.add.reduce(g >= target[:, None], axis=1)
-        j += first - 1
+        j += first - 1  # flat index of each row's j
         # theta = b + (g - target) / max(-slope, 1), written with min(slope, -1)
         s = slope.take(j)
         theta = g.take(j)
@@ -85,15 +85,13 @@ def project_delivery_matrix(Q: np.ndarray) -> np.ndarray:
     (sort-and-threshold)."""
     R, F = Q.shape
     rank = np.arange(1.0, F + 1.0)
-    u = Q.copy()
-    u.sort(axis=1)
-    u = u[:, ::-1]
+    u = np.sort(Q, axis=1)[:, ::-1]
     css = np.add.accumulate(u, axis=1)
     css -= 1.0
-    cond = np.divide(css, rank)
+    cond = css / rank
     np.subtract(u, cond, out=cond)
     rho = F - 1 - (cond[:, ::-1] > 0).argmax(axis=1)
-    theta = css.take(rho + np.arange(0, R * F, F))
+    theta = css.take(rho + np.arange(0, R * F, F))  # css[r, rho[r]]
     theta /= rank.take(rho)
-    out = np.subtract(Q, theta[:, None])
+    out = Q - theta[:, None]
     return np.maximum(out, 0.0, out=out)
