@@ -5,8 +5,8 @@ per-term loops over the math, plus exhaustive enumeration for tiny
 instances.  They must stay independent of the code they check.  The
 helpers near the end of the file are the exception: they call the package's
 Lagrangian and matrix projections, and only the tests use them.  Last come
-earlier vectorized forms of the two matrix projections, references that
-the package's faster kernels must match byte for byte.
+plainer vectorized forms of the two matrix projections, the references
+that the package's kernels must match byte for byte.
 """
 
 import heapq
@@ -407,8 +407,8 @@ def project_delivery_row(q: np.ndarray) -> np.ndarray:
 
 
 # -- reference forms of the matrix projections -----------------------------
-# The earlier, plainer vectorized forms of the package's projections.  The
-# package's kernels must give the same bytes, the sign of zero included.
+# A fresh array for every step and fancy indexing in place of flat gathers;
+# the package's kernels must give the same bytes, the sign of zero included.
 
 
 def reference_project_cache_matrix(X: np.ndarray, capacities: np.ndarray,
