@@ -122,32 +122,51 @@ def dual_step(mu: np.ndarray, g_mu: np.ndarray, n: int,
     return np.multiply(v, v >= TINY, out=v)
 
 
-def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
-    """Per node: pin sources, then cache the capacity-many non-source
-    contents with largest fractional value (ties to smaller content id).
-    Values are ranked on a 1e-12 grid, so rounding noise counts as a tie.
-    One stable argsort ranks every row; its first ``capacity`` entries are
-    set through their flat indexes."""
+def caching_choice(s: Scenario):
+    """The caching rule of s as a choice: a function of X giving the flat
+    indexes that ``round_caching`` sets to 1 beside the pins.  Per node,
+    one stable argsort of every row, with values ranked on a 1e-12 grid
+    (rounding noise counts as a tie) and pins last, takes the capacity-many
+    largest non-source contents, ties to the smaller content id."""
     pins = s.source_mask()
-    V, F = X.shape
-    # stable: ties keep id order; pinned entries sort after the free ones
-    order = np.where(pins, np.inf, -X.round(12)).argsort(axis=1, kind="stable")
-    order += np.arange(0, V * F, F)[:, None]
-    out = pins.astype(float)
-    out.put(order[np.arange(F) < s.capacities[:, None]], 1.0)
+    V, F = pins.shape
+    offsets, pinned = np.arange(0, V * F, F)[:, None], np.flatnonzero(pins)
+    take = np.arange(F) < s.capacities[:, None]
+
+    def choose(X: np.ndarray) -> np.ndarray:
+        keys = X.round(12)
+        np.negative(keys, out=keys)
+        keys.put(pinned, np.inf)
+        order = keys.argsort(axis=1, kind="stable")
+        order += offsets
+        return order[take]
+
+    return choose
+
+
+def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
+    """The caching choice of X as a 0/1 matrix: the pins and the chosen."""
+    out = s.source_mask().astype(float)
+    out.put(caching_choice(s)(X), 1.0)
     return out
 
 
+def delivery_choice(terms: PathTerms):
+    """The delivery rule under the rounded caching of ``terms`` as a choice:
+    a function of Q giving each request's delivered content, the one with
+    the largest Q value (finite; ties to smaller content id) among those
+    available on its path, or its requested content if none is.  The mask
+    of these options is formed once here, for every Q."""
+    options = terms.avail <= 0.0
+    none = np.flatnonzero(~options.any(axis=1))
+    options[none, terms.geom.req_content[none]] = True
+    return lambda Q: np.argmax(np.where(options, Q, -np.inf), axis=1)
+
+
 def round_delivery(terms: PathTerms, Q: np.ndarray) -> np.ndarray:
-    """Per request: among contents available on the path under the rounded
-    caching (of path terms ``terms``), pick the largest fractional delivery
-    value (ties to smaller content id); the requested content is always a
-    feasible fallback."""
-    avail = terms.avail <= 0.0
-    best = np.argmax(np.where(avail, Q, -np.inf), axis=1)
-    choice = np.where(avail.any(axis=1), best, terms.geom.req_content)
+    """The delivery choice of Q under the rounded caching of ``terms``, one-hot."""
     out = np.zeros_like(Q)
-    out[np.arange(Q.shape[0]), choice] = 1.0
+    out[np.arange(Q.shape[0]), delivery_choice(terms)(Q)] = 1.0
     return out
 
 

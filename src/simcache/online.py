@@ -5,23 +5,29 @@ with the previous slot's rounded delivery (for slot 1, the rounding of the
 initial state).  It then evaluates the offline gradient kernels with each
 request's rate replaced by its observed arrival count / T, applies the
 offline projected primal step and the dual update ``hibsa.dual_step``
-(slot index as the iteration counter), and re-rounds for the next slot.
-The dual update takes the mu-gradient at the iterate that served the slot,
-before the primal step, while the offline solver takes it at the fresh
-iterate.  Path terms are evaluated once per new iterate and per new
-rounded caching, each into one set of terms that the run refills in
-place.  By default both primal blocks, caching (eta_x) and delivery
-(eta_q), take the offline step size ``SolverConfig.eta_s``.  Since an
-arrival count has expectation rate * T, the estimates are unbiased for
-the analytic gradients at the current state.
+(slot index as the iteration counter), and rounds the new iterate for the
+next slot.  The dual update takes the mu-gradient at the iterate that
+served the slot, before the primal step, while the offline solver takes
+it at the fresh iterate; an iterate's violations serve its slot's
+Lagrangian and the next slot's mu-gradient.  Path terms are evaluated once
+per new iterate and per new rounded caching, each into one set of terms
+that the run refills in place.  By default both primal blocks, caching
+(eta_x) and delivery (eta_q), take the offline step size
+``SolverConfig.eta_s``.  Since an arrival count has expectation rate * T,
+the estimates are unbiased for the analytic gradients at the current state.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws; the
 seed's next child is the per-cache baseline's insertion stream.
 
-A run stores only what changed: a slot whose rounding did not change
-records the previous slot's read-only arrays, and the served tuples are
-built once per rounded decision (see ``SlotOutcome``).
+A slot re-rounds only on change: it compares the two choices of ``hibsa``
+with the last ones.  The rounded caching is unchanged exactly when it
+holds every chosen entry (each row chooses as many, and pins stay 1), the
+delivery when every request's content is.  Only a moved choice builds its
+matrix, the churn, the rounded caching's terms and delivery options, and
+the served tuples.  So a slot whose rounding did not change records the
+previous slot's read-only arrays, and the served tuples are built once per
+rounded decision (see ``SlotOutcome``).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .gradients import grad_mu, grad_q, grad_x
 # not used here: bench/test_bench.py checks that the tracer restores this
 # name in every simcache module that holds it, this one included
 from .gradients import x_position_contributions  # noqa: F401
-from .hibsa import (SolverConfig, dual_step, initial_state,
+from .hibsa import (SolverConfig, caching_choice, delivery_choice, dual_step, initial_state,
                     projected_primal_update, round_caching, round_delivery)
 from .model import Scenario
 
@@ -72,10 +78,10 @@ class OnlineConfig(SlotConfig):
 
 @dataclass(slots=True)
 class SlotOutcome:
-    """One slot's record.  ``X_rounded`` and ``Q_rounded`` are read-only,
-    and are the previous slot's arrays when the rounding did not change;
-    the arrivals and slots served by one rounded decision share the tuples
-    in ``triples``."""
+    """One slot's record; its rounding, of the new iterate, serves the next
+    slot.  ``X_rounded`` and ``Q_rounded`` are read-only, and are the last
+    slot's arrays when the choice did not move; the arrivals and slots
+    served by one rounded decision share the tuples in ``triples``."""
 
     slot: int
     triples: list  # (request index, delivered content, delay, dissimilarity)
@@ -146,16 +152,16 @@ class SlotWindow:
 
 
 def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
-                         counts: np.ndarray, T: float) -> tuple:
+                         counts: np.ndarray, T: float, h: np.ndarray | None = None) -> tuple:
     """Unbiased per-slot gradient estimates from observed request arrivals.
 
     ``counts`` holds each request's number of arrivals this slot.  The
     estimates are the analytic gradients (x, q, mu) with each request's
     rate replaced by its arrival count / T, so requests with no arrivals
-    contribute nothing.
+    contribute nothing.  Pass Q's violations ``h`` if already formed.
     """
     w = counts / T
-    return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, Q, w)
+    return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, Q, w, h)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -163,13 +169,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _served_records(geom: PathGeometry, int_terms: PathTerms, Q_int: np.ndarray,
+def _served_records(geom: PathGeometry, int_terms: PathTerms, f: np.ndarray,
                     previous=()) -> list:
-    """One (request, delivered content, delay, dissimilarity) tuple per
+    """One (request, delivered content f, delay, dissimilarity) tuple per
     request under a rounded decision; a tuple equal to its entry in
     ``previous`` is that entry, so a request whose record did not change
     keeps one tuple across decisions."""
-    f = Q_int.argmax(axis=1)
     rows = np.arange(len(f))
     fresh = zip(range(len(f)), f.tolist(), int_terms.delays[rows, f].tolist(),
                 geom.d_rows[rows, f].tolist())
@@ -192,10 +197,14 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     mu = np.zeros((s.num_requests, s.num_contents))
     streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
     terms = geom.evaluate(S.X)
+    h = terms.violations(S.Q)
+    choose_caching = caching_choice(s)
     X_int = _read_only(round_caching(s, S.X))
     int_terms = geom.evaluate(X_int)
+    choose_delivery = delivery_choice(int_terms)
+    delivered = choose_delivery(S.Q)
     Q_int = _read_only(round_delivery(int_terms, S.Q))
-    served = _served_records(geom, int_terms, Q_int)
+    served = _served_records(geom, int_terms, delivered)
     window = SlotWindow(cfg)
     outcomes: list[SlotOutcome] = []
 
@@ -209,22 +218,27 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             slot_delay += c * rec[2]
             slot_dissim += c * rec[3]
 
-        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length, h)
         S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
         terms = geom.evaluate(S.X, out=terms)
+        h = terms.violations(S.Q)
+        objective, dual = terms.totals((S.Q, terms.costs), (mu, h))
 
-        X_new = round_caching(s, S.X)
-        churn = int(np.count_nonzero(X_new != X_int))
-        if churn:  # an unchanged rounded caching keeps its array and path terms
+        churn = 0
+        if not X_int.take(choose_caching(S.X)).all():
+            X_new = round_caching(s, S.X)
+            churn = int(np.count_nonzero(X_new != X_int))
             X_int = _read_only(X_new)
             int_terms = geom.evaluate(X_int, out=int_terms)
-        Q_new = round_delivery(int_terms, S.Q)
-        Q_changed = (Q_new != Q_int).any()
-        if Q_changed:
-            Q_int = _read_only(Q_new)
-        if churn or Q_changed:
-            served = _served_records(geom, int_terms, Q_int, served)
+            choose_delivery = delivery_choice(int_terms)
+        choice = choose_delivery(S.Q)
+        Q_moved = (choice != delivered).any()
+        if Q_moved:
+            delivered = choice
+            Q_int = _read_only(round_delivery(int_terms, S.Q))
+        if churn or Q_moved:
+            served = _served_records(geom, int_terms, delivered, served)
 
         windowed_delay, windowed_dissim = window.push(slot_delay, slot_dissim)
         outcomes.append(SlotOutcome(
@@ -232,7 +246,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             triples=triples,
             windowed_delay=windowed_delay,
             windowed_dissimilarity=windowed_dissim,
-            lagrangian=terms.lagrangian(S.Q, mu),
+            lagrangian=objective + dual,
             cache_churn=churn,
             X_rounded=X_int,
             Q_rounded=Q_int,

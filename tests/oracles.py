@@ -4,9 +4,10 @@ These deliberately avoid the package's vectorized evaluation paths: plain
 per-term loops over the math, plus exhaustive enumeration for tiny
 instances.  They must stay independent of the code they check.  The
 helpers near the end of the file are the exception: they call the package's
-Lagrangian and matrix projections, and only the tests use them.  Last come
-plainer vectorized forms of the two matrix projections, the references
-that the package's kernels must match byte for byte.
+Lagrangian, matrix projections, roundings and slot steps, and only the
+tests use them.  Last come plainer vectorized forms of the two matrix
+projections, the references that the package's kernels must match byte
+for byte.
 """
 
 import heapq
@@ -17,7 +18,10 @@ from itertools import combinations, product
 import numpy as np
 
 from simcache.cost import PathGeometry, PrimalState
+from simcache.hibsa import (SolverConfig, dual_step, initial_state, projected_primal_update,
+                            round_caching, round_delivery)
 from simcache.model import Scenario, edge_key
+from simcache.online import stochastic_gradients
 from simcache.projection import project_cache_matrix, project_delivery_matrix
 
 
@@ -346,7 +350,8 @@ def qp_simplex_oracle(q):
 
 # -- test helpers over the package's own kernels --------------------------
 # Not independent oracles: central differences of the package's Lagrangian,
-# and one-row views of its matrix projections for the row-wise QP checks.
+# one-row views of its matrix projections for the row-wise QP checks, and
+# the online slot loop that re-rounds every slot.
 
 
 def fd_gradient(
@@ -389,6 +394,53 @@ def fd_gradient(
         work[idx] = v
         out[idx] = (f_up - f_dn) / (up - dn)
     return out
+
+
+def oracle_run_online(s, cfg):
+    """(per-slot (slot, triples, windowed delay, windowed dissimilarity,
+    Lagrangian, churn, rounded X, rounded Q) tuples, final X, Q, mu) of
+    ``run_online`` by the plain slot loop: fresh path terms for every use,
+    both blocks re-rounded every slot by ``round_caching`` and
+    ``round_delivery``, the served tuples built per arrival from the
+    rounded delivery's argmax, the Lagrangian from ``PathTerms.lagrangian``
+    and the mu-gradient from fresh violations.  Streams as in
+    ``oracle_per_cache_run``."""
+    geom = PathGeometry(s)
+    R, T = s.num_requests, cfg.slot_length
+    children = np.random.SeedSequence(cfg.seed).spawn(R)
+    counts = np.array([np.random.default_rng(ss).poisson(r.rate * T, size=cfg.num_slots)
+                       for ss, r in zip(children, s.requests)], dtype=int).reshape(R, -1)
+    S = initial_state(s, SolverConfig())
+    mu = np.zeros((R, s.num_contents))
+    X_int = round_caching(s, S.X)
+    Q_int = round_delivery(geom.evaluate(X_int), S.Q)
+    delay_hist = deque(maxlen=cfg.delay_window)
+    dissim_hist = deque(maxlen=cfg.delay_window)
+    slots = []
+    for t in range(1, cfg.num_slots + 1):
+        delays = geom.evaluate(X_int).delays
+        triples, slot_delay, slot_dissim = [], 0.0, 0.0
+        for r in range(R):
+            c = int(counts[r, t - 1])
+            if c:
+                f = int(Q_int[r].argmax())
+                rec = (r, f, float(delays[r, f]), float(geom.d_rows[r, f]))
+                triples += [rec] * c
+                slot_delay += c * rec[2]
+                slot_dissim += c * rec[3]
+        gx, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, counts[:, t - 1], T)
+        S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
+        mu = dual_step(mu, gmu, t, cfg.eta_mu)
+        X_new = round_caching(s, S.X)
+        churn = int(np.count_nonzero(X_new != X_int))
+        X_int = X_new
+        Q_int = round_delivery(geom.evaluate(X_int), S.Q)
+        delay_hist.append(slot_delay)
+        dissim_hist.append(slot_dissim)
+        win = len(delay_hist) * T
+        slots.append((t, triples, sum(delay_hist) / win, sum(dissim_hist) / win,
+                      geom.evaluate(S.X).lagrangian(S.Q, mu), churn, X_int, Q_int))
+    return slots, S.X, S.Q, mu
 
 
 def project_cache_row(x: np.ndarray, capacity: int, pinned=()) -> np.ndarray:

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from simcache.cost import PathGeometry, PrimalState
 from simcache.gradients import grad_mu
-from simcache.hibsa import (TRACE_COLUMNS, SolverConfig, dual_step,
-                            identity_delivery, initial_state, primal_step,
+from simcache.hibsa import (TRACE_COLUMNS, SolverConfig, caching_choice, delivery_choice,
+                            dual_step, identity_delivery, initial_state, primal_step,
                             round_caching, round_delivery, solve_offline)
 from simcache.model import Network, Scenario
 from simcache.scenario import GenConfig, generate_scenario, with_alpha
@@ -87,6 +89,38 @@ def rounding_cases(draw):
     pins = draw(arrays(bool, (V, F)))
     caps = draw(arrays(int, V, elements=st.integers(0, F + 1)))
     return X, pins, caps
+
+
+# exact ties, and values closer than the 1e-12 rounding grid: 0.5 + 3e-13
+# rounds to 0.5, a tie, while 0.5 + 6e-13 and 0.5 - 6e-13 do not
+NEAR_TIES = [0.0, 0.25, 0.5, 0.5 + 3e-13, 0.5 + 6e-13, 0.5 - 6e-13, 0.75, 1.0]
+
+
+@st.composite
+def caching_moves(draw):
+    """(X, X_next, pins, capacities): X_next redraws some entries of X."""
+    V = draw(st.integers(1, 4))
+    F = draw(st.integers(2, 6))
+    grid = arrays(float, (V, F), elements=st.sampled_from(NEAR_TIES), fill=st.nothing())
+    X, fresh = draw(grid), draw(grid)
+    moved = draw(arrays(bool, (V, F), fill=st.nothing()))
+    pins = draw(arrays(bool, (V, F)))
+    caps = draw(arrays(int, V, elements=st.integers(0, F + 1)))
+    return X, np.where(moved, fresh, X), pins, caps
+
+
+@st.composite
+def delivery_moves(draw):
+    """(availability products, requested contents, Q, Q_next): rows with
+    no available content among them."""
+    R = draw(st.integers(1, 4))
+    F = draw(st.integers(1, 6))
+    avail = draw(arrays(float, (R, F), elements=st.sampled_from([0.0, 0.5, 1.0])))
+    content = draw(arrays(int, R, elements=st.integers(0, F - 1)))
+    grid = arrays(float, (R, F), elements=st.sampled_from(NEAR_TIES), fill=st.nothing())
+    Q, fresh = draw(grid), draw(grid)
+    moved = draw(arrays(bool, (R, F), fill=st.nothing()))
+    return avail, content, Q, np.where(moved, fresh, Q)
 
 
 def test_identity_delivery(line_scenario):
@@ -244,6 +278,40 @@ class TestRounding:
         out = round_delivery(PathGeometry(s).evaluate(np.zeros((3, 2))), np.array([[0.1, 0.9]]))
         assert np.array_equal(out, np.array([[1.0, 0.0]]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(caching_moves())
+    @example((np.array([[0.5, 0.5 + 6e-13]]), np.array([[0.5, 0.5 - 6e-13]]),
+              np.zeros((1, 2), bool), np.array([1])))  # a lead of under 1e-12 flips
+    @example((np.array([[0.5, 0.5 + 3e-13]]), np.array([[0.5 + 3e-13, 0.5]]),
+              np.zeros((1, 2), bool), np.array([1])))  # a tie either way
+    @example((np.array([[0.25, 0.75, 0.5]]), np.array([[0.75, 0.25, 0.5]]),
+              np.array([[False, False, True]]), np.array([3])))  # pins chosen too
+    def test_caching_is_unchanged_exactly_when_its_choice_is_cached(self, case):
+        # each row chooses as many entries under either iterate, and pins
+        # are always 1, so the previous rounding holding every chosen entry
+        # means the two roundings are equal
+        X, X_next, pins, caps = case
+        s = pinned_scenario(pins, caps)
+        X_int = round_caching(s, X)
+        assert X_int.take(caching_choice(s)(X_next)).all() == \
+            np.array_equal(round_caching(s, X_next), X_int)
+
+    @settings(max_examples=300, deadline=None)
+    @given(delivery_moves())
+    def test_delivery_choice_is_the_one_hot(self, case):
+        avail, content, Q, Q_next = case
+        terms = SimpleNamespace(avail=avail, geom=SimpleNamespace(req_content=content))
+        choose = delivery_choice(terms)
+        for q in (Q, Q_next):
+            expected = np.zeros_like(q)
+            for r, row in enumerate(avail):
+                free = [f for f in range(row.size) if row[f] <= 0.0]
+                expected[r, min(free, key=lambda f: (-q[r, f], f)) if free else content[r]] = 1.0
+            assert np.array_equal(round_delivery(terms, q), expected)
+            assert np.array_equal(choose(q), expected.argmax(axis=1))
+        assert np.array_equal(choose(Q), choose(Q_next)) == \
+            np.array_equal(round_delivery(terms, Q), round_delivery(terms, Q_next))
+
     def test_delivery_is_feasible(self, line_scenario):
         s = line_scenario
         X_int = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -286,7 +354,8 @@ class TestSolveOffline:
         geom = PathGeometry(s)
         S = res.fractional
         assert last["lagrangian"] == geom.lagrangian(S, res.dual)
-        assert last["objective"] == geom.evaluate(S.X).objective(S.Q)
+        terms = geom.evaluate(S.X)
+        assert [last["objective"]] == terms.totals((S.Q, terms.costs))
 
     @pytest.mark.parametrize("pin_delivery", [False, True])
     def test_loop_equals_its_steps(self, pin_delivery):
@@ -306,8 +375,8 @@ class TestSolveOffline:
             mu = dual_step(mu, grad_mu(terms, S.Q), n, cfg.eta_mu)
             top = mu.max()  # the scaled norm of LAPACK's dnrm2, in numpy's pairwise sum
             norm = float(top * np.sqrt(np.sum(np.square(mu / top)))) if top > 0 else 0.0
-            rows.append((n, terms.lagrangian(S.Q, mu), terms.objective(S.Q),
-                         terms.expected_delay(S.Q), terms.dissimilarity_cost(S.Q),
+            rows.append((n, terms.lagrangian(S.Q, mu), *terms.totals(
+                             (S.Q, terms.costs), (S.Q, terms.delays), (S.Q, geom.d_rows)),
                          float(terms.violations(S.Q).max()), norm))
         assert res.trace.stop_reason == "max_iters"
         assert list(map(repr, res.trace.rows)) == list(map(repr, rows))

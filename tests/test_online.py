@@ -14,10 +14,10 @@ from simcache.hibsa import (SolverConfig, dual_step, initial_state,
                             projected_primal_update, round_caching, round_delivery)
 from simcache.online import (BLOCK_SLOTS, OnlineConfig, RequestStreams, run_online,
                              stochastic_gradients)
-from simcache.scenario import GenConfig, generate_scenario
+from simcache.scenario import GenConfig, generate_scenario, with_capacity
 
 from conftest import MID, allocate_every_evaluation, make_line_scenario
-from oracles import oracle_delay
+from oracles import oracle_delay, oracle_run_online
 
 
 class TestConfig:
@@ -359,3 +359,62 @@ class TestRunOnline:
         X_int = res.outcomes[-1].X_rounded
         assert X_int[0, 0] == 1.0  # requested content cached at the ingress
         assert res.outcomes[-1].windowed_delay == 0.0
+
+
+def _default(seed=0, **kw):
+    return generate_scenario(GenConfig(seed=seed, **kw))
+
+
+# (scenario, config, the kinds of slot the run holds): "churn" moves the
+# rounded caching, "delivery" the rounded delivery, with or without churn,
+# and "delivery only" the delivery alone
+ORACLE_CASES = [
+    *(pytest.param(lambda k=k: _default(k), OnlineConfig(num_slots=500, seed=k),
+                   {"churn", "delivery"} | ({"delivery only"} if k in (0, 3, 4) else set()),
+                   id=f"seed{k}") for k in range(5)),
+    pytest.param(lambda: _default(topology="torus"), OnlineConfig(num_slots=300),
+                 {"churn", "delivery", "delivery only"}, id="torus"),
+    # capacity 0 rounds every slot to the pins alone, capacity F to every
+    # entry, pinned ones among the chosen: the rounded caching cannot move
+    pytest.param(lambda: with_capacity(_default(), 0), OnlineConfig(num_slots=300),
+                 {"delivery", "delivery only"}, id="capacity0"),
+    pytest.param(lambda: with_capacity(_default(), 1), OnlineConfig(num_slots=300),
+                 {"churn", "delivery", "delivery only"}, id="capacity1"),
+    pytest.param(lambda: with_capacity(_default(), GenConfig.num_contents),
+                 OnlineConfig(num_slots=300), {"delivery", "delivery only"}, id="capacityF"),
+    pytest.param(_default, OnlineConfig(num_slots=300, slot_length=0.25),
+                 {"churn", "delivery", "delivery only"}, id="slot0.25"),
+    pytest.param(_default, OnlineConfig(num_slots=300, slot_length=4.0),
+                 {"churn", "delivery"}, id="slot4"),
+    pytest.param(lambda: _default(**MID), OnlineConfig(num_slots=20),
+                 {"churn", "delivery"}, id="mid-seed0"),
+]
+
+
+class TestWholeRunOracle:
+    @pytest.mark.parametrize("make,cfg,kinds", ORACLE_CASES)
+    def test_run_matches_the_re_rounding_loop(self, make, cfg, kinds):
+        s = make()
+        res = run_online(s, cfg)
+        slots, X, Q, mu = oracle_run_online(s, cfg)
+        for o, (t, triples, wd, wdis, lagrangian, churn, X_int, Q_int) in zip(
+                res.outcomes, slots, strict=True):
+            assert repr((o.slot, o.triples, o.windowed_delay, o.windowed_dissimilarity,
+                         o.lagrangian, o.cache_churn)) == \
+                repr((t, triples, wd, wdis, lagrangian, churn)), t
+            assert o.X_rounded.tobytes() == X_int.tobytes(), t
+            assert o.Q_rounded.tobytes() == Q_int.tobytes(), t
+        assert res.final_state.X.tobytes() == X.tobytes()
+        assert res.final_state.Q.tobytes() == Q.tobytes()
+        assert res.final_dual.tobytes() == mu.tobytes()
+        # the kinds of slot the run holds; slot 1 compares with the start
+        S0 = initial_state(s, SolverConfig())
+        Q_start = round_delivery(PathGeometry(s).evaluate(round_caching(s, S0.X)), S0.Q)
+        seen = set()
+        for slot, Q_before in zip(slots, [Q_start] + [slot[7] for slot in slots]):
+            churn, moved = slot[5] > 0, not np.array_equal(slot[7], Q_before)
+            if churn:
+                seen.add("churn")
+            if moved:
+                seen |= {"delivery"} if churn else {"delivery", "delivery only"}
+        assert seen == kinds
