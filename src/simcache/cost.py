@@ -178,17 +178,7 @@ class PathTerms:
         rows *= self.geom.rates
         return np.add.reduce(rows, axis=1).tolist()
 
-    def objective(self, Q: np.ndarray) -> float:
-        return self.totals((Q, self.costs))[0]
-
-    def expected_delay(self, Q: np.ndarray) -> float:
-        return self.totals((Q, self.delays))[0]
-
-    def dissimilarity_cost(self, Q: np.ndarray) -> float:
-        """Rate-weighted dissimilarity component (unweighted by alpha)."""
-        return self.totals((Q, self.geom.d_rows))[0]
-
     def lagrangian(self, Q: np.ndarray, mu: np.ndarray) -> float:
-        """objective(Q) + rate-weighted <mu, h>."""
+        """The objective, rate-weighted <Q, costs>, plus rate-weighted <mu, h>."""
         objective, dual = self.totals((Q, self.costs), (mu, self.violations(Q)))
         return objective + dual

@@ -89,18 +89,21 @@ class TestObjective:
     def test_zero_rates(self):
         s = make_line_scenario(rate=0.0)
         S = state_for(s, Q=[[0.5, 0.5]])
-        assert PathGeometry(s).evaluate(S.X).objective(S.Q) == 0.0
+        terms = PathGeometry(s).evaluate(S.X)
+        assert terms.totals((S.Q, terms.costs)) == [0.0]
 
     def test_one_hot_delivery(self):
         s = make_line_scenario(rate=3.0, alpha=2.0)
         S = state_for(s, Q=[[0.0, 1.0]])
-        assert PathGeometry(s).evaluate(S.X).objective(S.Q) == pytest.approx(3.0 * (7.0 + 2.0 * 1.0))
+        terms = PathGeometry(s).evaluate(S.X)
+        assert terms.totals((S.Q, terms.costs))[0] == pytest.approx(3.0 * (7.0 + 2.0 * 1.0))
 
     def test_matches_bruteforce_oracle(self, small_scenario):
         rng = np.random.default_rng(9)
         for _ in range(10):
             S = random_box_state(small_scenario, rng)
-            assert PathGeometry(small_scenario).evaluate(S.X).objective(S.Q) == pytest.approx(
+            terms = PathGeometry(small_scenario).evaluate(S.X)
+            assert terms.totals((S.Q, terms.costs))[0] == pytest.approx(
                 oracle_objective(small_scenario, S.X, S.Q), rel=1e-12)
 
 
@@ -136,7 +139,8 @@ class TestLagrangian:
         S = random_box_state(small_scenario, rng)
         mu = np.zeros((small_scenario.num_requests, small_scenario.num_contents))
         geom = PathGeometry(small_scenario)
-        assert geom.lagrangian(S, mu) == geom.evaluate(S.X).objective(S.Q)
+        terms = geom.evaluate(S.X)
+        assert [geom.lagrangian(S, mu)] == terms.totals((S.Q, terms.costs))
 
     def test_integer_feasible_ignores_mu(self, line_scenario):
         s = line_scenario
@@ -166,30 +170,34 @@ class TestAggregates:
         for _ in range(10):
             S = random_box_state(s, rng)
             terms = geom.evaluate(S.X)
-            total = terms.objective(S.Q)
-            parts = terms.expected_delay(S.Q) + s.alpha * terms.dissimilarity_cost(S.Q)
-            assert total == pytest.approx(parts, rel=1e-9)
+            total, delay, dissim = terms.totals(
+                (S.Q, terms.costs), (S.Q, terms.delays), (S.Q, geom.d_rows))
+            assert total == pytest.approx(delay + s.alpha * dissim, rel=1e-9)
 
     def test_delivering_requested_zero_dissimilarity(self, line_scenario):
         S = state_for(line_scenario, Q=[[1.0, 0.0]])
-        assert PathGeometry(line_scenario).evaluate(S.X).dissimilarity_cost(S.Q) == 0.0
+        geom = PathGeometry(line_scenario)
+        assert geom.evaluate(S.X).totals((S.Q, geom.d_rows)) == [0.0]
 
     def test_single_request_dissimilarity(self):
         d = [[0.0, 8.0], [8.0, 0.0]]
         s = make_line_scenario(dissimilarity=d)
         S = state_for(s, Q=[[0.0, 1.0]])
-        assert PathGeometry(s).evaluate(S.X).dissimilarity_cost(S.Q) == pytest.approx(8.0)
+        geom = PathGeometry(s)
+        assert geom.evaluate(S.X).totals((S.Q, geom.d_rows))[0] == pytest.approx(8.0)
 
     def test_expected_delay_ingress_hit(self, line_scenario):
         X = np.zeros((3, 2))
         X[0, 1] = 1.0
         S = state_for(line_scenario, X=X, Q=[[0.0, 1.0]])
-        assert PathGeometry(line_scenario).evaluate(S.X).expected_delay(S.Q) == 0.0
+        terms = PathGeometry(line_scenario).evaluate(S.X)
+        assert terms.totals((S.Q, terms.delays)) == [0.0]
 
     def test_expected_delay_one_hot(self):
         s = make_line_scenario(rate=2.0)
         S = state_for(s, Q=[[1.0, 0.0]])
-        assert PathGeometry(s).evaluate(S.X).expected_delay(S.Q) == pytest.approx(2.0 * 7.0)
+        terms = PathGeometry(s).evaluate(S.X)
+        assert terms.totals((S.Q, terms.delays))[0] == pytest.approx(2.0 * 7.0)
 
 
 class TestBatchGeometry:
@@ -233,7 +241,7 @@ class TestTermsReuse:
         for k in TERM_ARRAYS:
             assert getattr(terms, k).tobytes() == getattr(fresh, k).tobytes(), k
         assert not np.array_equal(terms.costs, before)
-        assert terms.objective(Q) == fresh.objective(Q)
+        assert terms.totals((Q, terms.costs)) == fresh.totals((Q, fresh.costs))
 
     def test_other_terms_are_never_changed(self, scenario):
         s = scenario
