@@ -7,12 +7,12 @@ reproduced byte-for-byte from the manifest and the numpy version alone:
 no result goes through a BLAS kernel, which the machine picks at run time.
 Exit codes: 0 success (including reported nonconvergence); 1 scenario
 violations, among them those of a solve --alpha or any sweep grid instance,
-all checked before anything is solved or written; 2 usage error, including
-an out-of-range or non-finite value of any other option (a negative seed
-among them), an online slot length too large for a request rate, a sweep
-capacity that is no int64 whole number or an empty sweep grid, rejected
-before anything is written; 3 I/O or parse error, including a scenario
-capacity that is no integer and a repeated edge.
+all checked before anything is solved or written; 2 usage error, which
+writes nothing: an out-of-range or non-finite value of any other option (a
+negative seed among them), an online slot length too large for a request
+rate, a sweep capacity that is no int64 whole number, an empty sweep grid,
+or a solve or online step that diverges; 3 I/O or parse error, including a
+scenario capacity that is no integer and a repeated edge.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from itertools import repeat
 from pathlib import Path as FsPath
@@ -73,6 +74,16 @@ def _config(cls, **options):
         return cls(**options)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+
+
+@contextmanager
+def _diverging(eta_s, eta_mu):
+    """A diverging run (FloatingPointError) is a usage error naming its steps."""
+    try:
+        yield
+    except FloatingPointError as exc:
+        raise click.UsageError(f"the iterates diverge at --eta-s {eta_s!r}, --eta-mu "
+                               f"{eta_mu!r} ({exc}); the step sizes must be smaller") from None
 
 
 def _load(path):
@@ -204,17 +215,15 @@ def validate(scenario):
               help="Override the scenario's dissimilarity weight.")
 @click.option("--baseline", default=None, type=click.Choice(["adaptive"]))
 @_apply(_solver_options)
-@click.option("--seed", default=0, show_default=True,
-              help="Recorded in manifest.json; the offline start is "
-                   "deterministic, so the seed does not change the run.")
-def solve(scenario, out, alpha, baseline, seed, **solver):
+def solve(scenario, out, alpha, baseline, **solver):
     """Run the offline solver; write trace, solution, and summary."""
     cfg = _config(SolverConfig, pin_delivery=(baseline == "adaptive"), **solver)
     s = _load(scenario)
     if alpha is not None:
         s = with_alpha(s, alpha)
     _exit_on_violations(s)
-    res, summary = solve_summary_row(s, cfg)
+    with _diverging(cfg.eta_s, cfg.eta_mu):
+        res, summary = solve_summary_row(s, cfg)
 
     out_dir = run_dir(out, "solve", click.get_current_context().params)
     write_csv(out_dir / "trace.csv", TRACE_COLUMNS, res.trace.rows)
@@ -259,7 +268,6 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
         raise click.UsageError(str(exc))
     solver = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
     cfg = _config(SolverConfig, **solver)
-    g = _config(GenConfig, **flags)
     instances = {seed: generate_scenario(_config(GenConfig, **flags, seed=seed))
                  for seed in set(seed_list)}
     heads, points = [], []  # (param, value, seed) and (instance, scheme) per row
@@ -279,7 +287,7 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
                   key=lambda r: (str(r[0]), float(r[1]), int(r[2]), str(r[3])))
     out_dir = run_dir(out, "sweep", {
         "param": param, "values": values, "seeds": seeds, "schemes": schemes,
-        "gen": {k: v for k, v in vars(g).items() if k != "seed"}, "solver": solver,
+        "gen": flags, "solver": solver,
     })
     write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, rows)
     click.echo(f"wrote {out_dir / 'sweep.csv'} ({len(rows)} rows)")
@@ -292,8 +300,7 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
 @click.option("--slots", default=OnlineConfig.num_slots, show_default=True)
 @click.option("--seed", default=OnlineConfig.seed, show_default=True)
 @click.option("--slot-length", default=OnlineConfig.slot_length, show_default=True)
-@click.option("--eta-x", default=OnlineConfig.eta_x, show_default=True)
-@click.option("--eta-q", default=OnlineConfig.eta_q, show_default=True)
+@click.option("--eta-s", default=OnlineConfig.eta_s, show_default=True)
 @click.option("--eta-mu", default=OnlineConfig.eta_mu, show_default=True)
 @click.option("--insert-prob", default=PerCacheConfig.insert_prob, show_default=True,
               help="Per-cache baseline insertion probability.")
@@ -301,29 +308,29 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
               help="Also solve offline and record its delay as a column.")
 @click.option("--max-iters", default=SolverConfig.max_iters, show_default=True,
               help="Iteration budget of the offline reference solve.")
-def online(scenario, out, baseline, slots, seed, slot_length, eta_x, eta_q,
-           eta_mu, insert_prob, offline_ref, max_iters):
+def online(scenario, out, baseline, slots, seed, slot_length, eta_s, eta_mu,
+           insert_prob, offline_ref, max_iters):
     """Run the online scheme (or the per-cache baseline); write a slot log."""
     slot = dict(slot_length=slot_length, num_slots=slots, seed=seed)
-    online_cfg = _config(OnlineConfig, eta_x=eta_x, eta_q=eta_q, eta_mu=eta_mu, **slot)
+    online_cfg = _config(OnlineConfig, eta_s=eta_s, eta_mu=eta_mu, **slot)
     per_cache_cfg = _config(PerCacheConfig, insert_prob=insert_prob, **slot)
     ref_cfg = _config(SolverConfig, max_iters=max_iters)
     s = _load(scenario)
     _exit_on_violations(s)
     _config(RequestStreams, seed=seed, rates=s.rates(), T=slot_length)  # each mean drawable
     offline_delay = None
-    if offline_ref:
-        offline_delay = solve_offline(s, ref_cfg).rounded.expected_delay
-
-    if baseline == "per-cache":
-        rows = [(rec.slot, rec.num_requests, rec.windowed_delay,
-                 rec.windowed_dissimilarity, None, rec.cache_churn, offline_delay)
-                for rec in run_per_cache_baseline(s, per_cache_cfg).slots]
-    else:
-        rows = [(rec.slot, len(rec.triples), rec.windowed_delay,
-                 rec.windowed_dissimilarity, rec.lagrangian, rec.cache_churn,
-                 offline_delay)
-                for rec in run_online(s, online_cfg).outcomes]
+    with _diverging(eta_s, eta_mu):
+        if offline_ref:
+            offline_delay = solve_offline(s, ref_cfg).rounded.expected_delay
+        if baseline == "per-cache":
+            rows = [(rec.slot, rec.num_requests, rec.windowed_delay,
+                     rec.windowed_dissimilarity, None, rec.cache_churn, offline_delay)
+                    for rec in run_per_cache_baseline(s, per_cache_cfg).slots]
+        else:
+            rows = [(rec.slot, len(rec.triples), rec.windowed_delay,
+                     rec.windowed_dissimilarity, rec.lagrangian, rec.cache_churn,
+                     offline_delay)
+                    for rec in run_online(s, online_cfg).outcomes]
 
     out_dir = run_dir(out, "online", click.get_current_context().params)
     write_csv(out_dir / "slots.csv", SLOT_COLUMNS, rows)

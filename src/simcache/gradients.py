@@ -64,9 +64,9 @@ def grad_q(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
     return w[:, None] * (terms.costs + mu * terms.avail)
 
 
-def grad_mu(terms: PathTerms, Q: np.ndarray, weights: np.ndarray | None = None,
-            h: np.ndarray | None = None) -> np.ndarray:
-    """|R| x |F| matrix of dL/dmu: the weighted violations q * prod(1 - x);
-    pass Q's violations ``h`` if already formed."""
+def grad_mu(terms: PathTerms, h: np.ndarray,
+            weights: np.ndarray | None = None) -> np.ndarray:
+    """|R| x |F| matrix of dL/dmu: the weighted violations ``h`` =
+    q * prod(1 - x), as ``terms.violations(Q)`` forms them."""
     w = terms.geom.rates if weights is None else weights
-    return w[:, None] * (terms.violations(Q) if h is None else h)
+    return w[:, None] * h

@@ -69,23 +69,15 @@ def identity_delivery(s: Scenario) -> np.ndarray:
     return np.eye(s.num_contents)[[r.content for r in s.requests]]
 
 
-def projected_primal_update(
-    geom: PathGeometry,
-    S: PrimalState,
-    gx: np.ndarray,
-    gq: np.ndarray | None,
-    eta_x: float,
-    eta_q: float,
-) -> PrimalState:
-    """Gradient step with per-block steps, then exact row-wise projection.
-
-    The step moves source-pinned x entries too: the cache projection never
-    reads them and sets them to exactly 1.  Without a delivery gradient
-    ``gq``, Q stays as it is.
-    """
+def projected_primal_update(geom: PathGeometry, S: PrimalState, gx: np.ndarray,
+                            gq: np.ndarray | None, eta: float) -> PrimalState:
+    """One gradient step of size eta on both blocks, then exact row-wise
+    projection.  The step moves source-pinned x entries too: the cache
+    projection never reads them and sets them to exactly 1.  Without a
+    delivery gradient ``gq``, Q stays as it is."""
     s = geom.scenario
-    X = project_cache_matrix(S.X - eta_x * gx, s.capacities, s.source_mask())
-    Q = S.Q if gq is None else project_delivery_matrix(S.Q - eta_q * gq)
+    X = project_cache_matrix(S.X - eta * gx, s.capacities, s.source_mask())
+    Q = S.Q if gq is None else project_delivery_matrix(S.Q - eta * gq)
     return PrimalState(X, Q)
 
 
@@ -95,7 +87,7 @@ def primal_step(terms: PathTerms, S: PrimalState, mu: np.ndarray,
     blocks, or on X alone in adaptive-caching mode."""
     gx = grad_x(terms, S.Q, mu)
     gq = None if cfg.pin_delivery else grad_q(terms, S.Q, mu)
-    return projected_primal_update(terms.geom, S, gx, gq, cfg.eta_s, cfg.eta_s)
+    return projected_primal_update(terms.geom, S, gx, gq, cfg.eta_s)
 
 
 TINY = np.finfo(float).tiny  # the smallest normal float
@@ -197,41 +189,41 @@ def dual_norm(mu: np.ndarray) -> float:
 
 def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
     """Iterate primal/dual steps until |L(n+1) - L(n)| <= delta or the
-    iteration budget runs out, then round greedily.  One iterate steps X
-    and Q at the last path terms, evaluates the new ones once, takes the
-    dual step there, and forms its violations once for the mu-gradient and
-    the trace row, whose four rate-weighted totals come from one
-    ``PathTerms.totals`` call; each product is built once.  One set of path
-    terms is refilled in place for every iterate, then for the rounded
-    caching."""
+    iteration budget runs out, then round greedily; the first overflow or
+    invalid value raises FloatingPointError.  One iterate steps X and Q at
+    the last path terms, evaluates the new ones once, takes the dual step
+    there, and forms its violations once for the mu-gradient and the trace
+    row, whose four rate-weighted totals come from one ``PathTerms.totals``
+    call; each product is built once.  One set of path terms is refilled in
+    place for every iterate, then for the rounded caching."""
     cfg = cfg or SolverConfig()
-    geom = PathGeometry(s)
-    S = initial_state(s, cfg)
-    mu = np.zeros((s.num_requests, s.num_contents))
-    terms = geom.evaluate(S.X)
-    trace = SolveTrace()
-    L_prev = terms.lagrangian(S.Q, mu)
-    stop_reason = "max_iters"
-    n = 0
-    for n in range(1, cfg.max_iters + 1):
-        S = primal_step(terms, S, mu, cfg)
-        terms = geom.evaluate(S.X, out=terms)
-        h = terms.violations(S.Q)
-        mu = dual_step(mu, grad_mu(terms, S.Q, h=h), n, cfg.eta_mu)
-        objective, delay, dissim, dual = terms.totals(
-            (S.Q, terms.costs), (S.Q, terms.delays), (S.Q, geom.d_rows), (mu, h))
-        L = objective + dual
-        trace.rows.append((n, L, objective, delay, dissim,
-                           float(np.maximum.reduce(h, axis=None)) if h.size else 0.0,
-                           dual_norm(mu)))
-        if abs(L - L_prev) <= cfg.delta:
-            stop_reason = "converged"
-            break
-        L_prev = L
-    trace.stop_reason = stop_reason
-    trace.iterations = n
-    X_int = round_caching(s, S.X)
-    int_terms = geom.evaluate(X_int, out=terms)
-    rounded = evaluate_integer(int_terms, X_int, round_delivery(int_terms, S.Q))
-    return SolveResult(fractional=S, dual=mu, rounded=rounded, trace=trace)
+    with np.errstate(over="raise", invalid="raise"):  # a diverging step stops the run
+        geom = PathGeometry(s)
+        S = initial_state(s, cfg)
+        mu = np.zeros((s.num_requests, s.num_contents))
+        terms = geom.evaluate(S.X)
+        trace = SolveTrace()
+        L_prev = terms.lagrangian(S.Q, mu)
+        for n in range(1, cfg.max_iters + 1):  # at least one: max_iters >= 1
+            S = primal_step(terms, S, mu, cfg)
+            terms = geom.evaluate(S.X, out=terms)
+            h = terms.violations(S.Q)
+            mu = dual_step(mu, grad_mu(terms, h), n, cfg.eta_mu)
+            objective, delay, dissim, dual = terms.totals(
+                (S.Q, terms.costs), (S.Q, terms.delays), (S.Q, geom.d_rows), (mu, h))
+            L = objective + dual
+            trace.rows.append((n, L, objective, delay, dissim,
+                               float(np.maximum.reduce(h, axis=None)) if h.size else 0.0,
+                               dual_norm(mu)))
+            if abs(L - L_prev) <= cfg.delta:
+                trace.stop_reason = "converged"
+                break
+            L_prev = L
+        else:
+            trace.stop_reason = "max_iters"
+        trace.iterations = n
+        X_int = round_caching(s, S.X)
+        int_terms = geom.evaluate(X_int, out=terms)
+        rounded = evaluate_integer(int_terms, X_int, round_delivery(int_terms, S.Q))
+        return SolveResult(fractional=S, dual=mu, rounded=rounded, trace=trace)
 

@@ -11,10 +11,10 @@ served the slot, before the primal step, while the offline solver takes
 it at the fresh iterate; an iterate's violations serve its slot's
 Lagrangian and the next slot's mu-gradient.  Path terms are evaluated once
 per new iterate and per new rounded caching, each into one set of terms
-that the run refills in place.  By default both primal blocks, caching
-(eta_x) and delivery (eta_q), take the offline step size
-``SolverConfig.eta_s``.  Since an arrival count has expectation rate * T,
-the estimates are unbiased for the analytic gradients at the current state.
+that the run refills in place.  Caching and delivery take one step eta_s,
+by default the offline ``SolverConfig.eta_s``, and an overflow or invalid
+value raises FloatingPointError.  Since an arrival count has expectation
+rate * T, the estimates are unbiased for the analytic gradients.
 
 Every request owns an independent RNG stream spawned from the run seed,
 so adding or removing requests never perturbs the others' draws; the
@@ -66,13 +66,12 @@ class SlotConfig:
 
 @dataclass
 class OnlineConfig(SlotConfig):
-    eta_x: float = SolverConfig.eta_s
-    eta_q: float = SolverConfig.eta_s
+    eta_s: float = SolverConfig.eta_s
     eta_mu: float = SolverConfig.eta_mu
 
     def __post_init__(self):
         super().__post_init__()
-        if not all(0 < x < np.inf for x in (self.eta_x, self.eta_q, self.eta_mu)):
+        if not all(0 < x < np.inf for x in (self.eta_s, self.eta_mu)):
             raise ValueError("step sizes must be positive and finite")
 
 
@@ -152,16 +151,16 @@ class SlotWindow:
 
 
 def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
-                         counts: np.ndarray, T: float, h: np.ndarray | None = None) -> tuple:
+                         counts: np.ndarray, T: float, h: np.ndarray) -> tuple:
     """Unbiased per-slot gradient estimates from observed request arrivals.
 
-    ``counts`` holds each request's number of arrivals this slot.  The
-    estimates are the analytic gradients (x, q, mu) with each request's
-    rate replaced by its arrival count / T, so requests with no arrivals
-    contribute nothing.  Pass Q's violations ``h`` if already formed.
+    ``counts`` holds each request's number of arrivals this slot, ``h``
+    Q's violations.  The estimates are the analytic gradients (x, q, mu)
+    with each request's rate replaced by its arrival count / T, so requests
+    with no arrivals contribute nothing.
     """
     w = counts / T
-    return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, Q, w, h)
+    return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, h, w)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -192,64 +191,65 @@ class OnlineResult:
 
 def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
     """Run the slotted online scheme; deterministic given the seed."""
-    geom = PathGeometry(s)
-    S = initial_state(s, SolverConfig())
-    mu = np.zeros((s.num_requests, s.num_contents))
-    streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
-    terms = geom.evaluate(S.X)
-    h = terms.violations(S.Q)
-    choose_caching = caching_choice(s)
-    X_int = _read_only(round_caching(s, S.X))
-    int_terms = geom.evaluate(X_int)
-    choose_delivery = delivery_choice(int_terms)
-    delivered = choose_delivery(S.Q)
-    Q_int = _read_only(round_delivery(int_terms, S.Q))
-    served = _served_records(geom, int_terms, delivered)
-    window = SlotWindow(cfg)
-    outcomes: list[SlotOutcome] = []
-
-    for t in range(1, cfg.num_slots + 1):
-        counts = streams.draw_counts()
-        hit = np.flatnonzero(counts)  # requests with arrivals, in index order
-        triples, slot_delay, slot_dissim = [], 0.0, 0.0
-        for r, c in zip(hit.tolist(), counts[hit].tolist()):
-            rec = served[r]
-            triples += [rec] * c
-            slot_delay += c * rec[2]
-            slot_dissim += c * rec[3]
-
-        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length, h)
-        S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
-        mu = dual_step(mu, gmu, t, cfg.eta_mu)
-        terms = geom.evaluate(S.X, out=terms)
+    with np.errstate(over="raise", invalid="raise"):  # a diverging step stops the run
+        geom = PathGeometry(s)
+        S = initial_state(s, SolverConfig())
+        mu = np.zeros((s.num_requests, s.num_contents))
+        streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
+        terms = geom.evaluate(S.X)
         h = terms.violations(S.Q)
-        objective, dual = terms.totals((S.Q, terms.costs), (mu, h))
+        choose_caching = caching_choice(s)
+        X_int = _read_only(round_caching(s, S.X))
+        int_terms = geom.evaluate(X_int)
+        choose_delivery = delivery_choice(int_terms)
+        delivered = choose_delivery(S.Q)
+        Q_int = _read_only(round_delivery(int_terms, S.Q))
+        served = _served_records(geom, int_terms, delivered)
+        window = SlotWindow(cfg)
+        outcomes: list[SlotOutcome] = []
 
-        churn = 0
-        if not X_int.take(choose_caching(S.X)).all():
-            X_new = round_caching(s, S.X)
-            churn = int(np.count_nonzero(X_new != X_int))
-            X_int = _read_only(X_new)
-            int_terms = geom.evaluate(X_int, out=int_terms)
-            choose_delivery = delivery_choice(int_terms)
-        choice = choose_delivery(S.Q)
-        Q_moved = (choice != delivered).any()
-        if Q_moved:
-            delivered = choice
-            Q_int = _read_only(round_delivery(int_terms, S.Q))
-        if churn or Q_moved:
-            served = _served_records(geom, int_terms, delivered, served)
+        for t in range(1, cfg.num_slots + 1):
+            counts = streams.draw_counts()
+            hit = np.flatnonzero(counts)  # requests with arrivals, in index order
+            triples, slot_delay, slot_dissim = [], 0.0, 0.0
+            for r, c in zip(hit.tolist(), counts[hit].tolist()):
+                rec = served[r]
+                triples += [rec] * c
+                slot_delay += c * rec[2]
+                slot_dissim += c * rec[3]
 
-        windowed_delay, windowed_dissim = window.push(slot_delay, slot_dissim)
-        outcomes.append(SlotOutcome(
-            slot=t,
-            triples=triples,
-            windowed_delay=windowed_delay,
-            windowed_dissimilarity=windowed_dissim,
-            lagrangian=objective + dual,
-            cache_churn=churn,
-            X_rounded=X_int,
-            Q_rounded=Q_int,
-        ))
+            gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length, h)
+            S = projected_primal_update(geom, S, gx, gq, cfg.eta_s)
+            mu = dual_step(mu, gmu, t, cfg.eta_mu)
+            terms = geom.evaluate(S.X, out=terms)
+            h = terms.violations(S.Q)
+            objective, dual = terms.totals((S.Q, terms.costs), (mu, h))
 
-    return OnlineResult(outcomes=outcomes, final_state=S, final_dual=mu)
+            churn = 0
+            if not X_int.take(choose_caching(S.X)).all():
+                X_new = round_caching(s, S.X)
+                churn = int(np.count_nonzero(X_new != X_int))
+                X_int = _read_only(X_new)
+                int_terms = geom.evaluate(X_int, out=int_terms)
+                choose_delivery = delivery_choice(int_terms)
+            choice = choose_delivery(S.Q)
+            Q_moved = (choice != delivered).any()
+            if Q_moved:
+                delivered = choice
+                Q_int = _read_only(round_delivery(int_terms, S.Q))
+            if churn or Q_moved:
+                served = _served_records(geom, int_terms, delivered, served)
+
+            windowed_delay, windowed_dissim = window.push(slot_delay, slot_dissim)
+            outcomes.append(SlotOutcome(
+                slot=t,
+                triples=triples,
+                windowed_delay=windowed_delay,
+                windowed_dissimilarity=windowed_dissim,
+                lagrangian=objective + dual,
+                cache_churn=churn,
+                X_rounded=X_int,
+                Q_rounded=Q_int,
+            ))
+
+        return OnlineResult(outcomes=outcomes, final_state=S, final_dual=mu)

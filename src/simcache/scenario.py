@@ -45,7 +45,6 @@ class GenConfig:
     beta: float = 3.0
     rho: float = 1.2
     alpha: float = 10.0
-    rate: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -59,8 +58,8 @@ class GenConfig:
             raise ValueError("num_origins must lie in [1, nodes_side^2]")
         if self.capacity < 0 or self.seed < 0:
             raise ValueError("capacity and seed must be nonnegative")
-        if not all(0 <= x < np.inf for x in (self.beta, self.rho, self.alpha, self.rate)):
-            raise ValueError("beta, rho, alpha, rate must be finite and nonnegative")
+        if not all(0 <= x < np.inf for x in (self.beta, self.rho, self.alpha)):
+            raise ValueError("beta, rho, alpha must be finite and nonnegative")
 
 
 def grid_edges(side: int, torus: bool = False) -> list:
@@ -140,7 +139,7 @@ def shortest_paths(neighbours: dict, src: int, dsts) -> dict:
 
 
 def generate_scenario(g: GenConfig) -> Scenario:
-    """Build a random instance following the experimental setup defaults."""
+    """Build a random instance following the experimental setup defaults, every rate 1."""
     rng = np.random.default_rng(g.seed)
     V = g.nodes_side ** 2
     edges = grid_edges(g.nodes_side, torus=(g.topology == "torus"))
@@ -171,7 +170,7 @@ def generate_scenario(g: GenConfig) -> Scenario:
         num_contents=g.num_contents,
         network=network,
         sources=sources,
-        requests=tuple(Request(content=f, path=Path(paths[origin][src_node]), rate=g.rate)
+        requests=tuple(Request(content=f, path=Path(paths[origin][src_node]), rate=1.0)
                        for f, origin, src_node in draws),
         dissimilarity=power_law_dissimilarity(g.num_contents, g.beta),
         capacities=np.full(V, g.capacity, dtype=int),

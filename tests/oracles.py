@@ -428,8 +428,10 @@ def oracle_run_online(s, cfg):
                 triples += [rec] * c
                 slot_delay += c * rec[2]
                 slot_dissim += c * rec[3]
-        gx, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, counts[:, t - 1], T)
-        S = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
+        terms = geom.evaluate(S.X)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts[:, t - 1], T,
+                                           terms.violations(S.Q))
+        S = projected_primal_update(geom, S, gx, gq, cfg.eta_s)
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
         X_new = round_caching(s, S.X)
         churn = int(np.count_nonzero(X_new != X_int))

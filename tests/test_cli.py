@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -148,7 +149,7 @@ class TestOptionErrors:
         ["online", "--slots", "0"],
         ["online", "--baseline", "per-cache", "--insert-prob", "2"],
         ["online", "--slot-length", "inf"],
-        ["online", "--eta-x", "nan"],
+        ["online", "--eta-s", "nan"],
         ["online", "--seed", "-1"],
         ["online", "--baseline", "per-cache", "--seed", "-1"],
     ])
@@ -171,6 +172,34 @@ class TestOptionErrors:
         res = run([*args, "--out", str(out)])
         assert res.exit_code == 2
         assert "must" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--seed", "0"],
+        ["online", "--eta-x", "1e-3"],
+        ["online", "--eta-q", "1e-3"],
+    ])
+    def test_removed_option_is_unknown(self, tmp_path, args):
+        # solve's start is deterministic, and both online primal blocks
+        # take the one step --eta-s
+        p = write_scenario(tmp_path)
+        out = tmp_path / "run"
+        command, *flags = args
+        res = run([command, "--scenario", str(p), *flags, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "online"])
+    def test_diverging_step_writes_nothing(self, tmp_path, command):
+        p = write_scenario(tmp_path)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run([command, "--scenario", str(p), "--eta-s", "1e300", "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert "diverge at --eta-s 1e+300, --eta-mu 1.0" in res.output
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", ["-3", "0"])
@@ -263,12 +292,11 @@ class TestSolve:
     def test_manifest_records_options(self, tmp_path):
         p = write_scenario(tmp_path)
         out = tmp_path / "run"
-        run(["solve", "--scenario", str(p), "--max-iters", "200",
-             "--seed", "7", "--out", str(out)])
+        run(["solve", "--scenario", str(p), "--max-iters", "200", "--out", str(out)])
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["command"] == "solve"
         assert doc["options"]["max_iters"] == 200
-        assert doc["options"]["seed"] == 7
+        assert "seed" not in doc["options"]
 
 
 class TestManifest:
@@ -284,13 +312,11 @@ class TestManifest:
     def test_solve(self, tmp_path):
         p = write_scenario(tmp_path)
         doc = self.manifest(["solve", "--scenario", str(p), "--alpha", "5",
-                             "--eta-s", "0.002", "--max-iters", "200",
-                             "--seed", "7"], tmp_path / "run")
+                             "--eta-s", "0.002", "--max-iters", "200"], tmp_path / "run")
         assert doc["command"] == "solve"
         assert doc["options"] == {
             "scenario": str(p), "alpha": 5.0, "baseline": None,
             "eta_s": 0.002, "eta_mu": 1.0, "delta": 1e-6, "max_iters": 200,
-            "seed": 7,
         }
 
     @pytest.mark.parametrize("baseline", [None, "per-cache"])
@@ -299,11 +325,11 @@ class TestManifest:
         extra = ["--baseline", baseline] if baseline else []
         doc = self.manifest(["online", "--scenario", str(p), "--slots", "12",
                              "--seed", "3", "--insert-prob", "0.25",
-                             "--eta-q", "0.01", *extra], tmp_path / "run")
+                             "--eta-s", "0.01", *extra], tmp_path / "run")
         assert doc["command"] == "online"
         assert doc["options"] == {
             "scenario": str(p), "baseline": baseline, "slots": 12, "seed": 3,
-            "slot_length": 1.0, "eta_x": 1e-3, "eta_q": 0.01, "eta_mu": 1.0,
+            "slot_length": 1.0, "eta_s": 0.01, "eta_mu": 1.0,
             "insert_prob": 0.25, "offline_ref": False, "max_iters": 50000,
         }
 
@@ -318,7 +344,7 @@ class TestManifest:
             "schemes": "similarity",
             "gen": {"nodes_side": 3, "topology": "grid", "num_contents": 4,
                     "num_requests": 6, "num_origins": 4, "capacity": 1,
-                    "beta": 3.0, "rho": 1.2, "alpha": 10.0, "rate": 1.0},
+                    "beta": 3.0, "rho": 1.2, "alpha": 10.0},
             "solver": {"eta_s": 1e-3, "eta_mu": 1.0, "delta": 1e-5,
                        "max_iters": 100},
         }
@@ -337,6 +363,16 @@ class TestSweep:
         lines = text.splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
         assert lines[0].startswith("param,value,seed,scheme")
+
+    def test_diverging_point_is_an_error_row(self, tmp_path):
+        # alpha * d overflows at 1e307; the other point is solved as usual
+        out = tmp_path / "sweep"
+        res = run(["sweep", *GEN_FLAGS, "--values", "10,1e307", "--seeds", "0",
+                   "--schemes", "similarity", "--max-iters", "50", "--out", str(out)])
+        assert res.exit_code == 0
+        ok, bad = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert ok.startswith("alpha,10.0,0,similarity,") and ok.endswith(",50,max_iters")
+        assert bad == "alpha,1e+307,0,similarity,,,,0,error: overflow encountered in multiply"
 
     def test_single_point_matches_solve(self, tmp_path):
         p = write_scenario(tmp_path)

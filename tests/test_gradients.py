@@ -172,13 +172,15 @@ class TestGradMu:
         s = line_scenario
         X = s.source_mask().astype(float)
         Q = np.array([[1.0, 0.0]])
-        assert np.all(grad_mu(PathGeometry(s).evaluate(X), Q) == 0.0)
+        terms = PathGeometry(s).evaluate(X)
+        assert np.all(grad_mu(terms, terms.violations(Q)) == 0.0)
 
     def test_scaled_by_rate(self):
         s = make_line_scenario(rate=2.0)
         X = np.zeros((3, 2))
         Q = np.array([[1.0, 0.0]])
-        g = grad_mu(PathGeometry(s).evaluate(X), Q)
+        terms = PathGeometry(s).evaluate(X)
+        g = grad_mu(terms, terms.violations(Q))
         assert g[0, 0] == pytest.approx(2.0)
 
     def test_matches_finite_differences_exactly(self, small_scenario):
@@ -189,14 +191,16 @@ class TestGradMu:
             # L is linear in mu, so a large step keeps central
             # differences exact up to rounding
             fd = fd_gradient(small_scenario, S, mu, "mu", step=0.5)
-            g = grad_mu(PathGeometry(small_scenario).evaluate(S.X), S.Q)
+            terms = PathGeometry(small_scenario).evaluate(S.X)
+            g = grad_mu(terms, terms.violations(S.Q))
             assert rel_err(g, fd).max() <= 1e-6
 
     def test_nonnegative_in_box(self, small_scenario):
         rng = np.random.default_rng(6)
         for _ in range(10):
             S = random_box_state(small_scenario, rng, lo=0.0, hi=1.0)
-            assert np.all(grad_mu(PathGeometry(small_scenario).evaluate(S.X), S.Q) >= 0.0)
+            terms = PathGeometry(small_scenario).evaluate(S.X)
+            assert np.all(grad_mu(terms, terms.violations(S.Q)) >= 0.0)
 
 
 class TestFdOracle:

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -138,7 +139,8 @@ class TestDualStep:
         X[2] = 1.0  # source holds everything: all violations vanish at Q rows 0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.ones((1, 2))
-        out = dual_step(mu, grad_mu(PathGeometry(s).evaluate(S.X), S.Q), 1, 1.0)
+        terms = PathGeometry(s).evaluate(S.X)
+        out = dual_step(mu, grad_mu(terms, terms.violations(S.Q)), 1, 1.0)
         # h is zero for the pair with q=0; the delivered pair has
         # h = 1 * (1-0)(1-0)(1-1) = 0 too, so grad_mu = 0 everywhere.
         assert np.allclose(out, 0.0)
@@ -150,12 +152,14 @@ class TestDualStep:
         X[2] = 1.0
         S = PrimalState(X, np.array([[1.0, 0.0]]))
         mu = np.full((1, 2), 0.8)
-        out = dual_step(mu, grad_mu(PathGeometry(s).evaluate(S.X), S.Q), 16, 1.0)
+        terms = PathGeometry(s).evaluate(S.X)
+        out = dual_step(mu, grad_mu(terms, terms.violations(S.Q)), 16, 1.0)
         assert np.allclose(out, 0.4)
 
     def test_counter_must_start_at_one(self, line_scenario):
         S = initial_state(line_scenario, SolverConfig())
-        g_mu = grad_mu(PathGeometry(line_scenario).evaluate(S.X), S.Q)
+        terms = PathGeometry(line_scenario).evaluate(S.X)
+        g_mu = grad_mu(terms, terms.violations(S.Q))
         with pytest.raises(ValueError):
             dual_step(np.zeros((1, 2)), g_mu, 0, 1.0)
 
@@ -165,7 +169,8 @@ class TestDualStep:
         s = line_scenario
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig(pin_delivery=True))
-        g_mu = grad_mu(geom.evaluate(S.X), S.Q)
+        terms = geom.evaluate(S.X)
+        g_mu = grad_mu(terms, terms.violations(S.Q))
         mu = np.zeros((1, 2))
         for n in range(1, 2001):
             mu = dual_step(mu, g_mu, n, 1.0)
@@ -177,7 +182,8 @@ class TestDualStep:
         rng = np.random.default_rng(3)
         S = initial_state(small_scenario, SolverConfig())
         mu = rng.uniform(size=S.Q.shape)
-        out = dual_step(mu, grad_mu(PathGeometry(small_scenario).evaluate(S.X), S.Q), 5, 1.0)
+        terms = PathGeometry(small_scenario).evaluate(S.X)
+        out = dual_step(mu, grad_mu(terms, terms.violations(S.Q)), 5, 1.0)
         assert np.all(out >= 0.0)
 
     def test_subnormal_entry_is_exactly_zero(self):
@@ -372,7 +378,7 @@ class TestSolveOffline:
         for n in range(1, cfg.max_iters + 1):
             S = primal_step(terms, S, mu, cfg)
             terms = geom.evaluate(S.X)
-            mu = dual_step(mu, grad_mu(terms, S.Q), n, cfg.eta_mu)
+            mu = dual_step(mu, grad_mu(terms, terms.violations(S.Q)), n, cfg.eta_mu)
             top = mu.max()  # the scaled norm of LAPACK's dnrm2, in numpy's pairwise sum
             norm = float(top * np.sqrt(np.sum(np.square(mu / top)))) if top > 0 else 0.0
             rows.append((n, terms.lagrangian(S.Q, mu), *terms.totals(
@@ -411,6 +417,16 @@ class TestSolveOffline:
                      (a.dual, b.dual), (a.rounded.X, b.rounded.X), (a.rounded.Q, b.rounded.Q)):
             assert x.tobytes() == y.tobytes()
         assert repr(a.rounded) == repr(b.rounded)
+
+    def test_diverging_step_raises(self, default_scenario):
+        # the first iterate overflows; no warning comes before the error,
+        # and the solve's error state ends with it
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                solve_offline(default_scenario, SolverConfig(eta_s=1e300, max_iters=1))
+        assert np.geterr() == before
 
     def test_fractional_iterate_feasible(self, small_scenario):
         s = small_scenario

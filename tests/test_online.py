@@ -24,7 +24,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = OnlineConfig()
         assert cfg.slot_length == 1.0
-        assert cfg.eta_x == 1e-3 and cfg.eta_q == 1e-3
+        assert cfg.eta_s == 1e-3 and cfg.eta_mu == 1.0
         assert cfg.delay_window == 10
 
     @pytest.mark.parametrize("cls", [OnlineConfig, PerCacheConfig])
@@ -34,14 +34,20 @@ class TestConfig:
         with pytest.raises(TypeError):
             cls(delay_window=4)
 
-    @pytest.mark.parametrize("kw", [dict(slot_length=0.0), dict(eta_x=-1.0),
-                                    dict(eta_q=0.0), dict(num_slots=0),
+    @pytest.mark.parametrize("kw", [dict(slot_length=0.0), dict(eta_s=-1.0),
+                                    dict(eta_s=0.0), dict(num_slots=0),
                                     dict(slot_length=np.inf),
-                                    dict(slot_length=np.nan), dict(eta_x=np.nan),
-                                    dict(eta_q=np.inf), dict(eta_mu=np.nan),
+                                    dict(slot_length=np.nan), dict(eta_s=np.nan),
+                                    dict(eta_s=np.inf), dict(eta_mu=np.nan),
                                     dict(eta_mu=np.inf), dict(seed=-1)])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
+            OnlineConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [dict(eta_x=1e-3), dict(eta_q=1e-3)])
+    def test_one_primal_step(self, kw):
+        # caching and delivery take the one step eta_s
+        with pytest.raises(TypeError):
             OnlineConfig(**kw)
 
 
@@ -102,8 +108,9 @@ class TestStochasticGradients:
         s = small_scenario
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        gx, gq, gmu = stochastic_gradients(PathGeometry(s).evaluate(S.X), S.Q, mu,
-                                           np.zeros(s.num_requests), 1.0)
+        terms = PathGeometry(s).evaluate(S.X)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, np.zeros(s.num_requests), 1.0,
+                                           terms.violations(S.Q))
         assert not gx.any() and not gq.any() and not gmu.any()
 
     def test_single_arrival_matches_bracket_rows(self, line_scenario):
@@ -112,19 +119,21 @@ class TestStochasticGradients:
         S = initial_state(s, SolverConfig())
         mu = np.full((1, 2), 0.3)
         terms = geom.evaluate(S.X)
-        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, np.ones(1), 2.0)
+        h = terms.violations(S.Q)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, np.ones(1), 2.0, h)
         # unit weights give the rate-free bracket rows
         ones = np.ones(s.num_requests)
         assert np.allclose(gq[0], grad_q(terms, S.Q, mu, ones)[0] / 2.0)
-        assert np.allclose(gmu[0], grad_mu(terms, S.Q, ones)[0] / 2.0)
+        assert np.allclose(gmu[0], grad_mu(terms, h, ones)[0] / 2.0)
 
     def test_unobserved_requests_contribute_nothing(self, small_scenario):
         s = small_scenario
         geom = PathGeometry(s)
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
-        _, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu,
-                                         np.eye(s.num_requests)[0], 1.0)
+        terms = geom.evaluate(S.X)
+        _, gq, gmu = stochastic_gradients(terms, S.Q, mu, np.eye(s.num_requests)[0], 1.0,
+                                         terms.violations(S.Q))
         assert not gq[1:].any() and not gmu[1:].any()
 
     def test_counts_scale_linearly(self, small_scenario):
@@ -133,8 +142,9 @@ class TestStochasticGradients:
         S = initial_state(s, SolverConfig())
         mu = np.zeros((s.num_requests, s.num_contents))
         terms = geom.evaluate(S.X)
-        one = stochastic_gradients(terms, S.Q, mu, np.eye(s.num_requests)[0], 1.0)
-        three = stochastic_gradients(terms, S.Q, mu, 3 * np.eye(s.num_requests)[0], 1.0)
+        h = terms.violations(S.Q)
+        one = stochastic_gradients(terms, S.Q, mu, np.eye(s.num_requests)[0], 1.0, h)
+        three = stochastic_gradients(terms, S.Q, mu, 3 * np.eye(s.num_requests)[0], 1.0, h)
         for a, b in zip(one, three):
             assert np.allclose(3.0 * a, b)
 
@@ -147,6 +157,7 @@ class TestStochasticGradients:
         S = initial_state(s, SolverConfig())
         mu = np.full((s.num_requests, s.num_contents), 0.2)
         terms = geom.evaluate(S.X)
+        h = terms.violations(S.Q)
 
         streams = RequestStreams(9, geom.rates, 1.0)
         n_slots = 2000
@@ -155,13 +166,13 @@ class TestStochasticGradients:
                 np.zeros((s.num_requests, s.num_contents))]
         for _ in range(n_slots):
             counts = streams.draw_counts()
-            for acc, g in zip(sums, stochastic_gradients(terms, S.Q, mu, counts, 1.0)):
+            for acc, g in zip(sums, stochastic_gradients(terms, S.Q, mu, counts, 1.0, h)):
                 acc += g
         means = [a / n_slots for a in sums]
 
         gx = grad_x(terms, S.Q, mu)
         gq = grad_q(terms, S.Q, mu)
-        gmu = grad_mu(terms, S.Q)
+        gmu = grad_mu(terms, h)
         scale = max(np.abs(gx).max(), 1.0)
         assert np.allclose(means[0], gx, atol=0.2 * scale)
         assert np.allclose(means[1], gq,
@@ -179,6 +190,15 @@ class TestRunOnline:
         for oa, ob in zip(a.outcomes, b.outcomes):
             assert oa.triples == ob.triples
             assert oa.windowed_delay == ob.windowed_delay
+
+    def test_diverging_step_raises(self, default_scenario):
+        # slot 1 steps from the start, and slot 2's step overflows; the
+        # run's error state ends with it
+        before = np.geterr()
+        run_online(default_scenario, OnlineConfig(num_slots=1, eta_s=1e300))
+        with pytest.raises(FloatingPointError):
+            run_online(default_scenario, OnlineConfig(num_slots=2, eta_s=1e300))
+        assert np.geterr() == before
 
     def test_zero_rate_serves_nothing(self):
         s = make_line_scenario(rate=0.0)
@@ -218,16 +238,18 @@ class TestRunOnline:
         S = initial_state(s, SolverConfig())
         mu = np.zeros((R, s.num_contents))
         counts = RequestStreams(cfg.seed, geom.rates, cfg.slot_length).draw_counts()
-        gx, gq, gmu = stochastic_gradients(geom.evaluate(S.X), S.Q, mu, counts,
-                                           cfg.slot_length)
-        S_next = projected_primal_update(geom, S, gx, gq, cfg.eta_x, cfg.eta_q)
+        terms = geom.evaluate(S.X)
+        gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, counts, cfg.slot_length,
+                                           terms.violations(S.Q))
+        S_next = projected_primal_update(geom, S, gx, gq, cfg.eta_s)
         mu_next = dual_step(mu, gmu, 1, cfg.eta_mu)
         assert np.array_equal(res.final_state.X, S_next.X)
         assert np.array_equal(res.final_state.Q, S_next.Q)
         assert np.array_equal(res.final_dual, mu_next) and mu_next.any()
         # the mu-gradient at the fresh iterate would give another dual
-        _, _, gmu_next = stochastic_gradients(geom.evaluate(S_next.X), S_next.Q, mu, counts,
-                                              cfg.slot_length)
+        terms_next = geom.evaluate(S_next.X)
+        _, _, gmu_next = stochastic_gradients(terms_next, S_next.Q, mu, counts,
+                                              cfg.slot_length, terms_next.violations(S_next.Q))
         assert not np.array_equal(res.final_dual, dual_step(mu, gmu_next, 1, cfg.eta_mu))
 
     @pytest.mark.parametrize("seed,size,slots", [
@@ -355,7 +377,7 @@ class TestRunOnline:
 
     def test_learns_to_cache_on_line(self):
         s = make_line_scenario(taus=(4.0, 9.0), rate=5.0, alpha=10.0)
-        res = run_online(s, OnlineConfig(num_slots=800, seed=0, eta_x=5e-3))
+        res = run_online(s, OnlineConfig(num_slots=800, seed=0, eta_s=5e-3))
         X_int = res.outcomes[-1].X_rounded
         assert X_int[0, 0] == 1.0  # requested content cached at the ingress
         assert res.outcomes[-1].windowed_delay == 0.0

@@ -72,8 +72,7 @@ def test_online_run_scales_exactly(seed):
     s = generate_scenario(GenConfig(seed=seed))
     cfg = OnlineConfig(num_slots=300, seed=seed)
     a = run_online(s, cfg)
-    b = run_online(doubled(s), replace(cfg, eta_x=cfg.eta_x / 2, eta_q=cfg.eta_q / 2,
-                                       eta_mu=cfg.eta_mu * 2))
+    b = run_online(doubled(s), replace(cfg, eta_s=cfg.eta_s / 2, eta_mu=cfg.eta_mu * 2))
     for oa, ob in zip(a.outcomes, b.outcomes, strict=True):
         assert np.array_equal(oa.X_rounded, ob.X_rounded), oa.slot
         assert np.array_equal(oa.Q_rounded, ob.Q_rounded), oa.slot

@@ -24,12 +24,18 @@ class TestGenConfig:
         dict(nodes_side=0), dict(topology="ring"), dict(num_contents=0),
         dict(num_requests=0), dict(num_origins=0), dict(num_origins=26),
         dict(capacity=-1), dict(beta=-1.0), dict(rho=-0.5), dict(alpha=-1.0),
-        dict(rate=-1.0), dict(beta=np.inf), dict(rho=np.nan), dict(alpha=np.nan),
-        dict(alpha=np.inf), dict(rate=np.nan), dict(rate=np.inf), dict(seed=-1),
+        dict(beta=np.nan), dict(beta=np.inf), dict(rho=np.nan), dict(alpha=np.nan),
+        dict(alpha=np.inf), dict(rho=np.inf), dict(seed=-1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             GenConfig(**kw)
+
+    def test_rate_is_no_option(self):
+        # generated requests all have rate 1
+        with pytest.raises(TypeError):
+            GenConfig(rate=2.0)
+        assert {r.rate for r in generate_scenario(GenConfig()).requests} == {1.0}
 
 
 class TestGridEdges:
