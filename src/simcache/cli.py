@@ -11,7 +11,8 @@ all checked before anything is solved or written; 2 usage error, which
 writes nothing: an out-of-range or non-finite value of any other option (a
 negative seed among them), an online slot length too large for a request
 rate, a sweep capacity that is no int64 whole number, an empty sweep grid,
-or a solve or online step that diverges; 3 I/O or parse error, including a
+a solve or online step that diverges, or an alpha whose product with the
+largest dissimilarity overflows; 3 I/O or parse error, including a
 scenario capacity that is no integer and a repeated edge.
 """
 
@@ -77,11 +78,16 @@ def _config(cls, **options):
 
 
 @contextmanager
-def _diverging(eta_s, eta_mu):
-    """A diverging run (FloatingPointError) is a usage error naming its steps."""
+def _diverging(s, eta_s, eta_mu):
+    """An overflow (FloatingPointError) in a run of s is a usage error naming
+    its cause: alpha times the largest dissimilarity if that overflows, else the steps."""
     try:
         yield
     except FloatingPointError as exc:
+        d_max = float(s.dissimilarity.max(initial=0.0))
+        if s.alpha * d_max == float("inf"):  # Python floats overflow without a warning
+            raise click.UsageError(f"alpha {s.alpha!r} times the largest dissimilarity "
+                                   f"{d_max!r} overflows ({exc})") from None
         raise click.UsageError(f"the iterates diverge at --eta-s {eta_s!r}, --eta-mu "
                                f"{eta_mu!r} ({exc}); the step sizes must be smaller") from None
 
@@ -222,7 +228,7 @@ def solve(scenario, out, alpha, baseline, **solver):
     if alpha is not None:
         s = with_alpha(s, alpha)
     _exit_on_violations(s)
-    with _diverging(cfg.eta_s, cfg.eta_mu):
+    with _diverging(s, cfg.eta_s, cfg.eta_mu):
         res, summary = solve_summary_row(s, cfg)
 
     out_dir = run_dir(out, "solve", click.get_current_context().params)
@@ -319,7 +325,7 @@ def online(scenario, out, baseline, slots, seed, slot_length, eta_s, eta_mu,
     _exit_on_violations(s)
     _config(RequestStreams, seed=seed, rates=s.rates(), T=slot_length)  # each mean drawable
     offline_delay = None
-    with _diverging(eta_s, eta_mu):
+    with _diverging(s, eta_s, eta_mu):
         if offline_ref:
             offline_delay = solve_offline(s, ref_cfg).rounded.expected_delay
         if baseline == "per-cache":

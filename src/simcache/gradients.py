@@ -57,8 +57,7 @@ def grad_x(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
     return gX.reshape(V, F)
 
 
-def grad_q(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
-           weights: np.ndarray | None = None) -> np.ndarray:
+def grad_q(terms: PathTerms, mu: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """|R| x |F| matrix of dL/dq_{(f,p),f'}: weight * (t + alpha*d + mu*prod(1 - x))."""
     w = terms.geom.rates if weights is None else weights
     return w[:, None] * (terms.costs + mu * terms.avail)

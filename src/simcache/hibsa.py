@@ -86,7 +86,7 @@ def primal_step(terms: PathTerms, S: PrimalState, mu: np.ndarray,
     """One descent step with step eta_s at S.X's terms, on both primal
     blocks, or on X alone in adaptive-caching mode."""
     gx = grad_x(terms, S.Q, mu)
-    gq = None if cfg.pin_delivery else grad_q(terms, S.Q, mu)
+    gq = None if cfg.pin_delivery else grad_q(terms, mu)
     return projected_primal_update(terms.geom, S, gx, gq, cfg.eta_s)
 
 
@@ -136,10 +136,10 @@ def caching_choice(s: Scenario):
     return choose
 
 
-def round_caching(s: Scenario, X: np.ndarray) -> np.ndarray:
-    """The caching choice of X as a 0/1 matrix: the pins and the chosen."""
+def round_caching(s: Scenario, chosen: np.ndarray) -> np.ndarray:
+    """The 0/1 caching of the pins and the ``caching_choice`` indexes ``chosen``."""
     out = s.source_mask().astype(float)
-    out.put(caching_choice(s)(X), 1.0)
+    out.put(chosen, 1.0)
     return out
 
 
@@ -155,11 +155,10 @@ def delivery_choice(terms: PathTerms):
     return lambda Q: np.argmax(np.where(options, Q, -np.inf), axis=1)
 
 
-def round_delivery(terms: PathTerms, Q: np.ndarray) -> np.ndarray:
-    """The delivery choice of Q under the rounded caching of ``terms``, one-hot."""
-    out = np.zeros_like(Q)
-    out[np.arange(Q.shape[0]), delivery_choice(terms)(Q)] = 1.0
-    return out
+def round_delivery(s: Scenario, delivered: np.ndarray) -> np.ndarray:
+    """The rounded delivery built from a choice already made: each request's
+    ``delivered`` content, as ``delivery_choice`` gives it, one-hot."""
+    return np.eye(s.num_contents)[delivered]
 
 
 @dataclass
@@ -222,8 +221,9 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
         else:
             trace.stop_reason = "max_iters"
         trace.iterations = n
-        X_int = round_caching(s, S.X)
+        X_int = round_caching(s, caching_choice(s)(S.X))
         int_terms = geom.evaluate(X_int, out=terms)
-        rounded = evaluate_integer(int_terms, X_int, round_delivery(int_terms, S.Q))
+        Q_int = round_delivery(s, delivery_choice(int_terms)(S.Q))
+        rounded = evaluate_integer(int_terms, X_int, Q_int)
         return SolveResult(fractional=S, dual=mu, rounded=rounded, trace=trace)
 

@@ -24,10 +24,10 @@ A slot re-rounds only on change: it compares the two choices of ``hibsa``
 with the last ones.  The rounded caching is unchanged exactly when it
 holds every chosen entry (each row chooses as many, and pins stay 1), the
 delivery when every request's content is.  Only a moved choice builds its
-matrix, the churn, the rounded caching's terms and delivery options, and
-the served tuples.  So a slot whose rounding did not change records the
-previous slot's read-only arrays, and the served tuples are built once per
-rounded decision (see ``SlotOutcome``).
+matrix from that choice, ranked once, then the churn, the rounded caching's
+terms and delivery options, and the served tuples.  So a slot whose rounding
+did not change records the previous slot's read-only arrays, and the served
+tuples are built once per rounded decision (see ``SlotOutcome``).
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
     with no arrivals contribute nothing.
     """
     w = counts / T
-    return grad_x(terms, Q, mu, w), grad_q(terms, Q, mu, w), grad_mu(terms, h, w)
+    return grad_x(terms, Q, mu, w), grad_q(terms, mu, w), grad_mu(terms, h, w)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -199,11 +199,11 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
         terms = geom.evaluate(S.X)
         h = terms.violations(S.Q)
         choose_caching = caching_choice(s)
-        X_int = _read_only(round_caching(s, S.X))
+        X_int = _read_only(round_caching(s, choose_caching(S.X)))
         int_terms = geom.evaluate(X_int)
         choose_delivery = delivery_choice(int_terms)
         delivered = choose_delivery(S.Q)
-        Q_int = _read_only(round_delivery(int_terms, S.Q))
+        Q_int = _read_only(round_delivery(s, delivered))
         served = _served_records(geom, int_terms, delivered)
         window = SlotWindow(cfg)
         outcomes: list[SlotOutcome] = []
@@ -226,8 +226,8 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             objective, dual = terms.totals((S.Q, terms.costs), (mu, h))
 
             churn = 0
-            if not X_int.take(choose_caching(S.X)).all():
-                X_new = round_caching(s, S.X)
+            if not X_int.take(chosen := choose_caching(S.X)).all():
+                X_new = round_caching(s, chosen)
                 churn = int(np.count_nonzero(X_new != X_int))
                 X_int = _read_only(X_new)
                 int_terms = geom.evaluate(X_int, out=int_terms)
@@ -236,7 +236,7 @@ def run_online(s: Scenario, cfg: OnlineConfig) -> OnlineResult:
             Q_moved = (choice != delivered).any()
             if Q_moved:
                 delivered = choice
-                Q_int = _read_only(round_delivery(int_terms, S.Q))
+                Q_int = _read_only(round_delivery(s, delivered))
             if churn or Q_moved:
                 served = _served_records(geom, int_terms, delivered, served)
 

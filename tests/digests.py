@@ -64,7 +64,7 @@ def gradient_digests(s, seed: int) -> dict:
     mu = rng.exponential(size=Q.shape)
     terms = PathGeometry(s).evaluate(X)
     return {"X": sha(X), "Q": sha(Q), "grad_x": sha(grad_x(terms, Q, mu)),
-            "grad_q": sha(grad_q(terms, Q, mu)), "grad_mu": sha(grad_mu(terms, terms.violations(Q)))}
+            "grad_q": sha(grad_q(terms, mu)), "grad_mu": sha(grad_mu(terms, terms.violations(Q)))}
 
 
 def online_digests(s) -> dict:

@@ -18,8 +18,9 @@ from itertools import combinations, product
 import numpy as np
 
 from simcache.cost import PathGeometry, PrimalState
-from simcache.hibsa import (SolverConfig, dual_step, initial_state, projected_primal_update,
-                            round_caching, round_delivery)
+from simcache.hibsa import (SolverConfig, caching_choice, delivery_choice, dual_step,
+                            initial_state, projected_primal_update, round_caching,
+                            round_delivery)
 from simcache.model import Scenario, edge_key
 from simcache.online import stochastic_gradients
 from simcache.projection import project_cache_matrix, project_delivery_matrix
@@ -400,11 +401,11 @@ def oracle_run_online(s, cfg):
     """(per-slot (slot, triples, windowed delay, windowed dissimilarity,
     Lagrangian, churn, rounded X, rounded Q) tuples, final X, Q, mu) of
     ``run_online`` by the plain slot loop: fresh path terms for every use,
-    both blocks re-rounded every slot by ``round_caching`` and
-    ``round_delivery``, the served tuples built per arrival from the
-    rounded delivery's argmax, the Lagrangian from ``PathTerms.lagrangian``
-    and the mu-gradient from fresh violations.  Streams as in
-    ``oracle_per_cache_run``."""
+    both blocks re-rounded every slot by the choice functions and the
+    builders ``round_caching`` and ``round_delivery``, the served tuples
+    built per arrival from the rounded delivery's argmax, the Lagrangian
+    from ``PathTerms.lagrangian`` and the mu-gradient from fresh
+    violations.  Streams as in ``oracle_per_cache_run``."""
     geom = PathGeometry(s)
     R, T = s.num_requests, cfg.slot_length
     children = np.random.SeedSequence(cfg.seed).spawn(R)
@@ -412,8 +413,8 @@ def oracle_run_online(s, cfg):
                        for ss, r in zip(children, s.requests)], dtype=int).reshape(R, -1)
     S = initial_state(s, SolverConfig())
     mu = np.zeros((R, s.num_contents))
-    X_int = round_caching(s, S.X)
-    Q_int = round_delivery(geom.evaluate(X_int), S.Q)
+    X_int = round_caching(s, caching_choice(s)(S.X))
+    Q_int = round_delivery(s, delivery_choice(geom.evaluate(X_int))(S.Q))
     delay_hist = deque(maxlen=cfg.delay_window)
     dissim_hist = deque(maxlen=cfg.delay_window)
     slots = []
@@ -433,10 +434,10 @@ def oracle_run_online(s, cfg):
                                            terms.violations(S.Q))
         S = projected_primal_update(geom, S, gx, gq, cfg.eta_s)
         mu = dual_step(mu, gmu, t, cfg.eta_mu)
-        X_new = round_caching(s, S.X)
+        X_new = round_caching(s, caching_choice(s)(S.X))
         churn = int(np.count_nonzero(X_new != X_int))
         X_int = X_new
-        Q_int = round_delivery(geom.evaluate(X_int), S.Q)
+        Q_int = round_delivery(s, delivery_choice(geom.evaluate(X_int))(S.Q))
         delay_hist.append(slot_delay)
         dissim_hist.append(slot_dissim)
         win = len(delay_hist) * T

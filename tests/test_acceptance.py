@@ -82,7 +82,7 @@ def test_criterion_1_gradients_match_finite_differences():
         worst["x"] = max(worst["x"], mixed_error(
             grad_x(terms, S.Q, mu), fd_gradient(s, S, mu, "x", 1e-6)))
         worst["q"] = max(worst["q"], mixed_error(
-            grad_q(terms, S.Q, mu), fd_gradient(s, S, mu, "q", 1e-6)))
+            grad_q(terms, mu), fd_gradient(s, S, mu, "q", 1e-6)))
         worst["mu"] = max(worst["mu"], mixed_error(
             grad_mu(terms, terms.violations(S.Q)), fd_gradient(s, S, mu, "mu", 0.5)))
     elapsed = time.perf_counter() - start
@@ -236,7 +236,7 @@ def test_criterion_8_stochastic_gradients_are_unbiased():
     ses = [np.sqrt(np.maximum(a2 / n_slots - m ** 2, 0.0) / n_slots)
            for a2, m in zip(sumsq, means)]
 
-    analytic = [grad_x(terms, S.Q, mu), grad_q(terms, S.Q, mu), grad_mu(terms, h)]
+    analytic = [grad_x(terms, S.Q, mu), grad_q(terms, mu), grad_mu(terms, h)]
     within = total = 0
     for m, se, a in zip(means, ses, analytic):
         tested = (m != 0.0) | (a != 0.0)

@@ -202,6 +202,25 @@ class TestOptionErrors:
         assert "diverge at --eta-s 1e+300, --eta-mu 1.0" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, scenario_flags, flags", [
+        ("solve", [], ["--alpha", "1e307"]),
+        ("online", ["--alpha", "1e307"], []),  # online takes alpha from the scenario
+    ])
+    def test_set_up_overflow_names_alpha(self, tmp_path, command, scenario_flags, flags):
+        # alpha * d overflows before any step, so the steps are not to blame;
+        # 27.0 is the largest dissimilarity of the GENERATE instance
+        p = write_scenario(tmp_path, scenario_flags)
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run([command, "--scenario", str(p), *flags, "--out", str(out)])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
+        assert ("alpha 1e+307 times the largest dissimilarity 27.0 overflows "
+                "(overflow encountered in multiply)") in res.output
+        assert "--eta-s" not in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-3", "0"])
     def test_sweep_has_no_seed_option(self, tmp_path, seed):
         # --seeds picks a sweep's instances; a lone --seed is unknown

@@ -135,7 +135,7 @@ class TestGradQ:
         rng = np.random.default_rng(2)
         S = random_box_state(s, rng)
         mu = np.zeros_like(S.Q)
-        g = grad_q(PathGeometry(s).evaluate(S.X), S.Q, mu)
+        g = grad_q(PathGeometry(s).evaluate(S.X), mu)
         for r, req in enumerate(s.requests):
             for f in range(s.num_contents):
                 cost = oracle_delay(s, S.X, r, f) + s.alpha * s.dissimilarity[req.content, f]
@@ -146,7 +146,7 @@ class TestGradQ:
         X = s.source_mask().astype(float)
         S = PrimalState(X, np.full((1, 2), 0.5))
         mu = np.full((1, 2), 100.0)
-        g = grad_q(PathGeometry(s).evaluate(S.X), S.Q, mu)
+        g = grad_q(PathGeometry(s).evaluate(S.X), mu)
         f = s.requests[0].content
         assert g[0, f] == pytest.approx(oracle_delay(s, X, 0, f))
 
@@ -156,7 +156,7 @@ class TestGradQ:
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 2, size=S.Q.shape)
             fd = fd_gradient(small_scenario, S, mu, "q", step=1e-6)
-            g = grad_q(PathGeometry(small_scenario).evaluate(S.X), S.Q, mu)
+            g = grad_q(PathGeometry(small_scenario).evaluate(S.X), mu)
             assert rel_err(g, fd).max() <= 1e-4
 
     def test_nonnegative_for_nonnegative_mu(self, small_scenario):
@@ -164,7 +164,7 @@ class TestGradQ:
         for _ in range(10):
             S = random_box_state(small_scenario, rng)
             mu = rng.uniform(0, 5, size=S.Q.shape)
-            assert np.all(grad_q(PathGeometry(small_scenario).evaluate(S.X), S.Q, mu) >= 0.0)
+            assert np.all(grad_q(PathGeometry(small_scenario).evaluate(S.X), mu) >= 0.0)
 
 
 class TestGradMu:

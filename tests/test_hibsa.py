@@ -227,13 +227,13 @@ class TestPrimalStep:
 class TestRounding:
     def test_caching_takes_largest(self, line_scenario):
         X = np.array([[0.2, 0.7], [0.6, 0.3], [1.0, 1.0]])
-        out = round_caching(line_scenario, X)
+        out = round_caching(line_scenario, caching_choice(line_scenario)(X))
         expected = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         assert np.array_equal(out, expected)
 
     def test_caching_tie_goes_to_smaller_id(self, line_scenario):
         X = np.array([[0.5, 0.5], [0.5, 0.5], [1.0, 1.0]])
-        out = round_caching(line_scenario, X)
+        out = round_caching(line_scenario, caching_choice(line_scenario)(X))
         assert np.array_equal(out[:2], np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_caching_near_tie_rounds_like_a_tie(self, line_scenario):
@@ -241,14 +241,14 @@ class TestRounding:
         # rounding noise, so both nodes cache the smaller id, as for 0.5 = 0.5
         up, down = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
         X = np.array([[0.5, up], [0.5, down], [1.0, 1.0]])
-        out = round_caching(line_scenario, X)
+        out = round_caching(line_scenario, caching_choice(line_scenario)(X))
         assert np.array_equal(out[:2], np.array([[1.0, 0.0], [1.0, 0.0]]))
 
     def test_caching_respects_capacity(self, small_scenario):
         rng = np.random.default_rng(11)
         s = small_scenario
         X = rng.uniform(size=(s.num_nodes, s.num_contents))
-        out = round_caching(s, X)
+        out = round_caching(s, caching_choice(s)(X))
         assert set(np.unique(out)) <= {0.0, 1.0}
         assert caching_feasible(s, out)
 
@@ -262,26 +262,28 @@ class TestRounding:
     def test_caching_matches_sort_oracle(self, case):
         X, pins, caps = case
         s = pinned_scenario(pins, caps)
-        assert np.array_equal(round_caching(s, X), oracle_round_caching(s, X))
+        assert np.array_equal(round_caching(s, caching_choice(s)(X)), oracle_round_caching(s, X))
 
     def test_delivery_picks_available_argmax(self, line_scenario):
         s = line_scenario
         X_int = np.array([[0.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         Q = np.array([[0.4, 0.6]])
-        out = round_delivery(PathGeometry(s).evaluate(X_int), Q)
+        out = round_delivery(s, delivery_choice(PathGeometry(s).evaluate(X_int))(Q))
         assert np.array_equal(out, np.array([[0.0, 1.0]]))
 
     def test_delivery_tie_goes_to_smaller_id(self, line_scenario):
         s = line_scenario
         X_int = np.ones((3, 2))
-        out = round_delivery(PathGeometry(s).evaluate(X_int), np.array([[0.5, 0.5]]))
+        terms = PathGeometry(s).evaluate(X_int)
+        out = round_delivery(s, delivery_choice(terms)(np.array([[0.5, 0.5]])))
         assert np.array_equal(out, np.array([[1.0, 0.0]]))
 
     def test_delivery_falls_back_to_requested(self, line_scenario):
         # nothing is cached anywhere, not even at the source: the requested
         # content 0 is served although the fractional row prefers content 1
         s = line_scenario
-        out = round_delivery(PathGeometry(s).evaluate(np.zeros((3, 2))), np.array([[0.1, 0.9]]))
+        terms = PathGeometry(s).evaluate(np.zeros((3, 2)))
+        out = round_delivery(s, delivery_choice(terms)(np.array([[0.1, 0.9]])))
         assert np.array_equal(out, np.array([[1.0, 0.0]]))
 
     @settings(max_examples=300, deadline=None)
@@ -298,31 +300,32 @@ class TestRounding:
         # means the two roundings are equal
         X, X_next, pins, caps = case
         s = pinned_scenario(pins, caps)
-        X_int = round_caching(s, X)
-        assert X_int.take(caching_choice(s)(X_next)).all() == \
-            np.array_equal(round_caching(s, X_next), X_int)
+        choose = caching_choice(s)
+        X_int = round_caching(s, choose(X))
+        assert X_int.take(choose(X_next)).all() == \
+            np.array_equal(round_caching(s, choose(X_next)), X_int)
 
     @settings(max_examples=300, deadline=None)
     @given(delivery_moves())
     def test_delivery_choice_is_the_one_hot(self, case):
         avail, content, Q, Q_next = case
         terms = SimpleNamespace(avail=avail, geom=SimpleNamespace(req_content=content))
-        choose = delivery_choice(terms)
+        choose, s = delivery_choice(terms), SimpleNamespace(num_contents=avail.shape[1])
         for q in (Q, Q_next):
             expected = np.zeros_like(q)
             for r, row in enumerate(avail):
                 free = [f for f in range(row.size) if row[f] <= 0.0]
                 expected[r, min(free, key=lambda f: (-q[r, f], f)) if free else content[r]] = 1.0
-            assert np.array_equal(round_delivery(terms, q), expected)
+            assert np.array_equal(round_delivery(s, choose(q)), expected)
             assert np.array_equal(choose(q), expected.argmax(axis=1))
         assert np.array_equal(choose(Q), choose(Q_next)) == \
-            np.array_equal(round_delivery(terms, Q), round_delivery(terms, Q_next))
+            np.array_equal(round_delivery(s, choose(Q)), round_delivery(s, choose(Q_next)))
 
     def test_delivery_is_feasible(self, line_scenario):
         s = line_scenario
         X_int = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         Q = np.array([[0.1, 0.9]])
-        out = round_delivery(PathGeometry(s).evaluate(X_int), Q)
+        out = round_delivery(s, delivery_choice(PathGeometry(s).evaluate(X_int))(Q))
         f = int(np.argmax(out[0]))
         assert oracle_h(s, X_int, out, 0, f) == 0.0
 

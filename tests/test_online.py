@@ -7,11 +7,13 @@ from itertools import groupby
 import numpy as np
 import pytest
 
+from simcache import online
 from simcache.baselines import PerCacheConfig
 from simcache.cost import PathGeometry
 from simcache.gradients import grad_mu, grad_q, grad_x
-from simcache.hibsa import (SolverConfig, dual_step, initial_state,
-                            projected_primal_update, round_caching, round_delivery)
+from simcache.hibsa import (SolverConfig, caching_choice, delivery_choice, dual_step,
+                            initial_state, projected_primal_update, round_caching,
+                            round_delivery)
 from simcache.online import (BLOCK_SLOTS, OnlineConfig, RequestStreams, run_online,
                              stochastic_gradients)
 from simcache.scenario import GenConfig, generate_scenario, with_capacity
@@ -123,7 +125,7 @@ class TestStochasticGradients:
         gx, gq, gmu = stochastic_gradients(terms, S.Q, mu, np.ones(1), 2.0, h)
         # unit weights give the rate-free bracket rows
         ones = np.ones(s.num_requests)
-        assert np.allclose(gq[0], grad_q(terms, S.Q, mu, ones)[0] / 2.0)
+        assert np.allclose(gq[0], grad_q(terms, mu, ones)[0] / 2.0)
         assert np.allclose(gmu[0], grad_mu(terms, h, ones)[0] / 2.0)
 
     def test_unobserved_requests_contribute_nothing(self, small_scenario):
@@ -171,7 +173,7 @@ class TestStochasticGradients:
         means = [a / n_slots for a in sums]
 
         gx = grad_x(terms, S.Q, mu)
-        gq = grad_q(terms, S.Q, mu)
+        gq = grad_q(terms, mu)
         gmu = grad_mu(terms, h)
         scale = max(np.abs(gx).max(), 1.0)
         assert np.allclose(means[0], gx, atol=0.2 * scale)
@@ -212,8 +214,8 @@ class TestRunOnline:
         geom = PathGeometry(s)
         # reconstruct each slot's pre-update rounded caching and delivery
         S0 = initial_state(s, SolverConfig())
-        X_prev = round_caching(s, S0.X)
-        Q_prev = round_delivery(geom.evaluate(X_prev), S0.Q)
+        X_prev = round_caching(s, caching_choice(s)(S0.X))
+        Q_prev = round_delivery(s, delivery_choice(geom.evaluate(X_prev))(S0.Q))
         for o in res.outcomes:
             avail = geom.availability_products(X_prev) <= 0.0
             for r, f_prime, delay, dis in o.triples:
@@ -288,6 +290,23 @@ class TestRunOnline:
         assert 0 < changed < 30
         # the start and its rounding, each fractional iterate, each new rounding
         assert len(evaluations) == 2 + 30 + changed
+
+    def test_each_builder_runs_once_per_moved_choice(self, default_scenario, monkeypatch):
+        # what the benchmark tracer counts as round_caching and round_delivery
+        # calls: the start's rounding, then one build per slot whose choice moved
+        built = {"round_caching": [], "round_delivery": []}
+        for name, made in built.items():
+            build = getattr(online, name)
+            monkeypatch.setattr(online, name, lambda *a, build=build, made=made:
+                                made.append(build(*a)) or made[-1])
+        res = run_online(default_scenario, OnlineConfig(num_slots=500, seed=0))
+        churned = sum(o.cache_churn > 0 for o in res.outcomes)
+        assert len(built["round_caching"]) == 1 + churned
+        Q_seen = [built["round_delivery"][0]] + [o.Q_rounded for o in res.outcomes]
+        moves = [b for a, b in zip(Q_seen, Q_seen[1:]) if b is not a]
+        assert len(built["round_delivery"]) == 1 + len(moves)
+        assert all(a is b for a, b in zip(built["round_delivery"][1:], moves, strict=True))
+        assert churned > 0 and moves  # both kinds of move happen
 
     def test_unchanged_rounded_decisions_are_shared_read_only(self, default_scenario):
         res = run_online(default_scenario, OnlineConfig(num_slots=200, seed=0))
@@ -431,7 +450,8 @@ class TestWholeRunOracle:
         assert res.final_dual.tobytes() == mu.tobytes()
         # the kinds of slot the run holds; slot 1 compares with the start
         S0 = initial_state(s, SolverConfig())
-        Q_start = round_delivery(PathGeometry(s).evaluate(round_caching(s, S0.X)), S0.Q)
+        X_start = round_caching(s, caching_choice(s)(S0.X))
+        Q_start = round_delivery(s, delivery_choice(PathGeometry(s).evaluate(X_start))(S0.Q))
         seen = set()
         for slot, Q_before in zip(slots, [Q_start] + [slot[7] for slot in slots]):
             churn, moved = slot[5] > 0, not np.array_equal(slot[7], Q_before)
