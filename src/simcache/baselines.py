@@ -8,9 +8,9 @@ cost is exactly zero by construction.
 The per-cache scheme is a q-LRU-style stand-in for coordination-free
 similarity caching: each ingress node serves the most similar content in
 its local cache when that approximation costs less than fetching the
-requested content (alpha * d(f, f') below the full-path delay), and
-probabilistically inserts requested contents.  It is labeled "per-cache
-(simplified)" in all outputs.
+requested content (alpha * d(f, f') below the full-path delay, its hop
+sum), and probabilistically inserts requested contents.  It is labeled
+"per-cache (simplified)" in all outputs.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cost import PathGeometry
 from .hibsa import SolveResult, SolverConfig, solve_offline
-from .model import Scenario
+from .model import Scenario, edge_key
 from .online import RequestStreams, SlotConfig, SlotWindow
 
 
@@ -75,16 +74,18 @@ def serve_from_cache(s: Scenario, cache, f: int, fetch_delay: float) -> tuple:
 def run_per_cache_baseline(s: Scenario, cfg: PerCacheConfig) -> PerCacheResult:
     """Slotted per-cache simulation.
 
-    Each request arriving at ingress node p_1 is served by
-    :func:`serve_from_cache`.  After serving, the requested content is
-    inserted with probability insert_prob, evicting the LRU entry when
-    the cache is full.
+    Each request at ingress node p_1 is served by :func:`serve_from_cache`
+    with its path's hop delays, summed from the source end, as the fetch
+    delay.  After serving, the requested content is inserted with
+    probability insert_prob, evicting the LRU entry when the cache is full.
     """
-    geom = PathGeometry(s)
-    streams = RequestStreams(cfg.seed, geom.rates, cfg.slot_length)
+    streams = RequestStreams(cfg.seed, s.rates(), cfg.slot_length)
     insert_rng = np.random.default_rng(streams.root.spawn(1)[0])
 
-    full_path_delay = geom.delays(np.zeros((s.num_nodes, s.num_contents)))[:, 0].tolist()
+    full_path_delay = [0.0] * s.num_requests
+    for r, p in enumerate(req.path.nodes for req in s.requests):
+        for u, v in reversed(list(zip(p, p[1:]))):
+            full_path_delay[r] += s.network.delays[edge_key(u, v)]
     ingress = [r.path.nodes[0] for r in s.requests]
     caches: dict[int, deque] = {v: deque() for v in sorted(set(ingress))}
     window = SlotWindow(cfg)

@@ -49,12 +49,12 @@ class PathGeometry:
     each level is a slice whose parents lie in the level before; request r
     starts at trie node ``start[r]``.
 
-    The numbering is that of the suffixes sorted by (length, reversed
-    suffix).  Within one length that order is the order of (parent number,
-    node), so each level is one ``np.unique`` over ``parent * V + node``
-    for the paths that reach it, the parent numbered within its level: the
-    sorted keys are the level's trie nodes and the inverse is each path's
-    node there.  tau comes from a dense (V, V) lookup of the edges."""
+    The numbering is that of the suffixes sorted by (length, reversed suffix).
+    Within one length that order is the order of (parent number, node), so
+    each level is one ``np.unique`` over ``parent * V + node`` for the paths
+    that reach it, the parent numbered within its level: the sorted keys are
+    the level's trie nodes and the inverse is each path's node there.  tau is
+    read from the edge map ``Network.delays``: a missing hop raises its KeyError."""
 
     def __init__(self, s: Scenario):
         self.scenario = s
@@ -84,16 +84,8 @@ class PathGeometry:
         # a level's parents are numbered from the first of the level before; N at the terminals
         self.parent = local + np.repeat(np.array([N, *bounds[:-2]], np.intp)[:len(bounds) - 1],
                                         np.diff(bounds))
-        edges = list(s.network.delays)  # dense lookup of each hop's edge, len(edges) if none
-        edge = np.full((V, V), len(edges))
-        (u, v), ids = np.array(edges, dtype=np.intp).reshape(-1, 2).T, np.arange(len(edges))
-        edge[u, v] = edge[v, u] = ids
-        hops = edge[self.node[terminals:], self.node[self.parent[terminals:]]]
-        if hops.size and hops.max() == len(edges):  # a KeyError, as from Network.delays
-            bad = terminals + hops.argmax()
-            raise KeyError(edge_key(int(self.node[bad]), int(self.node[self.parent[bad]])))
-        delay = np.array(list(s.network.delays.values()), dtype=float)
-        self.tau = np.concatenate([np.zeros(terminals), delay[hops]])
+        u, v = self.node[terminals:].tolist(), self.node[self.parent[terminals:]].tolist()
+        self.tau = np.array([0.0] * terminals + [s.network.delays[k] for k in map(edge_key, u, v)])
         self.node_rows = self.node.repeat(2)
         # (first, end, parents, [tau | 0] as (n, 2, 1)) of each level, terminals first
         tau = np.stack([self.tau, np.zeros(N)], axis=1)[:, :, None]

@@ -16,8 +16,7 @@ from simcache.baselines import (PerCacheConfig, run_per_cache_baseline,
 from simcache.cli import main as cli_main
 from simcache.cost import PathGeometry, PrimalState
 from simcache.gradients import grad_mu, grad_q, grad_x
-from simcache.hibsa import (SolverConfig, identity_delivery, initial_state,
-                            round_caching, round_delivery, solve_offline)
+from simcache.hibsa import SolverConfig, identity_delivery, initial_state, solve_offline
 from simcache.online import OnlineConfig, RequestStreams, run_online, stochastic_gradients
 from simcache.scenario import (GenConfig, generate_scenario, with_alpha,
                                with_capacity)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ class TestPerCacheBaseline:
     def test_costly_approximation_is_fetched_over_the_path(self):
         s = make_line_scenario(taus=(2.0, 5.0), alpha=10.0, content=1)
         assert serve_from_cache(s, [0], 1, 7.0) == (1, 7.0, 0.0)
+
+    def test_runs_where_alpha_times_d_overflows(self):
+        # the instance of `generate --seed 0 --alpha 1e307`, on which alpha * d
+        # overflows; the baseline forms no alpha * d matrix, and no
+        # approximation is cheaper than a fetch
+        s = generate_scenario(GenConfig(seed=0, alpha=1e307))
+        cfg = PerCacheConfig(num_slots=50, seed=0, insert_prob=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run_per_cache_baseline(s, cfg)
+        assert any(res.caches.values())
+        assert all(slot.windowed_dissimilarity == 0.0 for slot in res.slots)
+        # at the default alpha the same run serves approximations
+        res = run_per_cache_baseline(with_alpha(s, GenConfig.alpha), cfg)
+        assert any(slot.windowed_dissimilarity > 0.0 for slot in res.slots)
 
     def test_slot_length_too_large_is_rejected(self, small_scenario):
         with pytest.raises(ValueError, match="request 0: Poisson mean"):

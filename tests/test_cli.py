@@ -506,6 +506,20 @@ class TestOnline:
         # the baseline has no multiplier estimate
         assert lines[1].split(",")[4] == ""
 
+    def test_per_cache_baseline_runs_where_alpha_times_d_overflows(self, tmp_path):
+        # the alpha that stops the online scheme in its set-up; the baseline
+        # forms no alpha * d product, so it runs
+        p = tmp_path / "scenario.json"
+        assert run(["generate", "--seed", "0", "--alpha", "1e307",
+                    "--out", str(p)]).exit_code == 0
+        out = tmp_path / "baseline"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = run(["online", "--scenario", str(p), "--baseline", "per-cache",
+                       "--slots", "5", "--out", str(out)])
+        assert res.exit_code == 0
+        assert len((out / "slots.csv").read_text().splitlines()) == 6
+
     def test_offline_reference_column(self, tmp_path):
         p = write_scenario(tmp_path)
         out = tmp_path / "ref"

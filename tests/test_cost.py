@@ -355,8 +355,10 @@ class TestSuffixTrie:
         assert_numbered_as_sorted_suffixes(make())
 
     def test_a_hop_that_is_no_edge_raises(self):
-        with pytest.raises(KeyError):
+        # the edge map's own KeyError, naming the missing hop
+        with pytest.raises(KeyError) as err:
             PathGeometry(hand_trie_scenario((4, 2, 3), (0, 3)))
+        assert err.value.args == ((0, 3),)
 
     def test_an_empty_path_raises(self):
         # validate_scenario reports it as EmptyPath; the geometry has no node for it
