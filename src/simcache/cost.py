@@ -22,6 +22,13 @@ overwrites all five, the costs along with the delays, in place with those
 of X and changes no other terms, so a solver loop refills one set per
 iterate; the level loop's [T | A] is temporary.  The terms take their
 shape from the geometry, so an X of another width is an error.
+
+The geometry's flat `np.bincount` indexes, the pushes', the node scatter's
+and the start rows', are int32 when their bound max(N, V) * 2F fits it,
+intp otherwise: int32 at every size the tests and the benchmark run, half
+the bytes of intp.  `np.bincount` casts its index to intp on each call and
+adds the weights in the same order whatever the index type, so no sum
+moves a bit; the cast is a transient the size of one call's index.
 """
 
 from __future__ import annotations
@@ -54,12 +61,13 @@ class PathGeometry:
     each level is one ``np.unique`` over ``parent * V + node`` for the paths
     that reach it, the parent numbered within its level: the sorted keys are
     the level's trie nodes and the inverse is each path's node there.  tau is
-    read from the edge map ``Network.delays``: a missing hop raises its KeyError."""
+    read from the edge map ``Network.delays``: a missing hop raises its KeyError.
+    The flat ``bincount`` indexes are int32 where every entry fits, else intp;
+    ``bincount`` casts either to intp, so the sums are the same bits."""
 
     def __init__(self, s: Scenario):
         self.scenario = s
         F, V = s.num_contents, s.num_nodes
-        lane = np.arange(2 * F)  # the entries of one trie node's row [T | A]
         paths = [r.path.nodes for r in s.requests]
         lengths = np.array([len(p) for p in paths], dtype=np.intp)
         if not lengths.all():  # an EmptyPath violation
@@ -90,14 +98,17 @@ class PathGeometry:
         # (first, end, parents, [tau | 0] as (n, 2, 1)) of each level, terminals first
         tau = np.stack([self.tau, np.zeros(N)], axis=1)[:, :, None]
         self.levels = [(a, b, self.parent[a:b], tau[a:b]) for a, b in zip(bounds, bounds[1:])]
+        # every flat index below is under max(N, V) * 2F: int32 where that fits
+        itype = np.int32 if max(N, V) * 2 * F <= np.iinfo(np.int32).max else np.intp
+        lane = np.arange(2 * F, dtype=itype)  # the entries of one trie node's row [T | A]
         # levels below the terminals, deepest first: flat slices of it and its parents, index
-        rows = local[terminals:, None] * 2 * F + lane  # one block for every level's index
+        rows = local[terminals:, None].astype(itype) * (2 * F) + lane  # one block for every level
         self.pushes = [(2 * F * a, 2 * F * b, 2 * F * pa, 2 * F * a,
                         rows[a - terminals:b - terminals].ravel())
                        for pa, a, b in zip(bounds, bounds[1:], bounds[2:])][::-1]
         # flat index of (trie node, content) into (V, F), of start rows into (N, 2, F)
-        self.node_content_index = (self.node[:, None] * F + lane[:F]).ravel()
-        self.start_index = (self.start[:, None] * 2 * F + lane).ravel()
+        self.node_content_index = (self.node[:, None].astype(itype) * F + lane[:F]).ravel()
+        self.start_index = (self.start[:, None].astype(itype) * (2 * F) + lane).ravel()
         self.rates = s.rates()
         self.req_content = np.array([r.content for r in s.requests], dtype=int)
         # dissimilarity row of each request's content, and alpha times it: (R, F)

@@ -22,24 +22,26 @@ import numpy as np
 from .cost import PathTerms
 
 
-def x_position_contributions(terms: PathTerms, Q: np.ndarray,
-                             mu: np.ndarray) -> np.ndarray:
+def x_position_contributions(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
+                             w: np.ndarray) -> np.ndarray:
     """(N, F) contributions to dL/dx of each trie node.
 
-    ``Q`` is the weighted delivery, each request's row of q scaled by its
-    weight.  Row u is the contribution of every request through trie node
+    ``w`` holds each request's weight; the weighted delivery w * q is
+    formed in the seed buffer, so no (R, F) copy of it lives through the
+    walk.  Row u is the contribution of every request through trie node
     u to dL/dx at u's network node; summing the rows into their node rows
     yields the gradient.
     """
     geom, Y = terms.geom, terms.Y.ravel()
     N, _, F = terms.Y.shape
-    seed = np.empty((Q.shape[0], 2, F))  # [-B | -C] in W's layout: -q | -mu * q
-    np.multiply(mu, np.negative(Q, out=seed[:, 0]), out=seed[:, 1])
+    seed = np.empty((Q.shape[0], 2, F))  # [-B | -C] in W's layout: -w q | -mu * w q
+    np.multiply(mu, np.multiply(Q, -w[:, None], out=seed[:, 0]), out=seed[:, 1])
     BC = np.bincount(geom.start_index, weights=seed.ravel(),
                      minlength=N * 2 * F).astype(float, copy=False)  # ints if no requests
     del seed  # not live at the peak below
     for a, b, pa, pb, index in geom.pushes:
-        BC[pa:pb] += np.bincount(index, weights=BC[a:b] * Y[a:b], minlength=pb - pa)
+        parents = BC[pa:pb]  # ``BC[pa:pb] +=`` would also assign the sum back
+        parents += np.bincount(index, weights=BC[a:b] * Y[a:b], minlength=pb - pa)
     BC = BC.reshape(N, 2, F)
     BC *= terms.W
     return BC[:, 0] + BC[:, 1]
@@ -50,7 +52,7 @@ def grad_x(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
     """|V| x |F| matrix of dL/dx_{v,f'}; ``weights`` default to the rates."""
     geom = terms.geom
     w = geom.rates if weights is None else weights
-    contrib = x_position_contributions(terms, w[:, None] * Q, mu)
+    contrib = x_position_contributions(terms, Q, mu, w)
     V, F = geom.scenario.num_nodes, geom.scenario.num_contents
     gX = np.bincount(geom.node_content_index, weights=contrib.ravel(),
                      minlength=V * F)

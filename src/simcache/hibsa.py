@@ -214,6 +214,7 @@ def solve_offline(s: Scenario, cfg: SolverConfig | None = None) -> SolveResult:
             trace.rows.append((n, L, objective, delay, dissim,
                                float(np.maximum.reduce(h, axis=None)) if h.size else 0.0,
                                dual_norm(mu)))
+            del h  # not held through the next primal step
             if abs(L - L_prev) <= cfg.delta:
                 trace.stop_reason = "converged"
                 break

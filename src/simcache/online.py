@@ -136,7 +136,9 @@ class RequestStreams:
 class SlotWindow:
     """The windowed delay and dissimilarity of both slotted runs: ``push``
     adds one slot's totals and returns those of the last ``delay_window``
-    slots per unit time, from two float deques summed with ``sum``."""
+    slots per unit time, from two float deques each summed left to right
+    from 0.0.  That is the builtin ``sum`` of Python 3.11 and earlier; from
+    3.12 on ``sum`` compensates float sums, so its last bits differ."""
 
     def __init__(self, cfg: SlotConfig):
         self.T = cfg.slot_length
@@ -146,8 +148,12 @@ class SlotWindow:
     def push(self, slot_delay: float, slot_dissim: float) -> tuple:
         self.delay.append(slot_delay)
         self.dissim.append(slot_dissim)
+        delay = dissim = 0.0
+        for d, c in zip(self.delay, self.dissim):
+            delay += d
+            dissim += c
         win = len(self.delay) * self.T
-        return sum(self.delay) / win, sum(self.dissim) / win
+        return delay / win, dissim / win
 
 
 def stochastic_gradients(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,

@@ -26,6 +26,14 @@ from simcache.online import stochastic_gradients
 from simcache.projection import project_cache_matrix, project_delivery_matrix
 
 
+def left_sum(values):
+    """The floats summed one by one from 0.0, the order of the windowed sums."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def oracle_delay(s, X, r, f_prime):
     p = s.requests[r].path.nodes
     total = 0.0
@@ -220,7 +228,7 @@ def oracle_per_cache_run(s, cfg):
         delay_hist.append(slot_delay)
         dissim_hist.append(slot_dissim)
         win = len(delay_hist) * cfg.slot_length
-        slots.append((t, num, sum(delay_hist) / win, sum(dissim_hist) / win, churn))
+        slots.append((t, num, left_sum(delay_hist) / win, left_sum(dissim_hist) / win, churn))
     return slots, {v: list(c) for v, c in caches.items()}
 
 
@@ -441,7 +449,7 @@ def oracle_run_online(s, cfg):
         delay_hist.append(slot_delay)
         dissim_hist.append(slot_dissim)
         win = len(delay_hist) * T
-        slots.append((t, triples, sum(delay_hist) / win, sum(dissim_hist) / win,
+        slots.append((t, triples, left_sum(delay_hist) / win, left_sum(dissim_hist) / win,
                       geom.evaluate(S.X).lagrangian(S.Q, mu), churn, X_int, Q_int))
     return slots, S.X, S.Q, mu
 

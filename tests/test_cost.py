@@ -411,3 +411,18 @@ class TestSuffixTrie:
             tracemalloc.stop()
         # the padded (R, P, F) layout needs more than 1 GB here
         assert peak < 250e6
+
+    @pytest.mark.parametrize("size", [{}, MID, BIG], ids=["default", "mid", "big"])
+    def test_flat_indexes_are_four_bytes(self, size):
+        geom = PathGeometry(generate_scenario(GenConfig(seed=0, **size)))
+        indexes = [index for *_, index in geom.pushes]
+        for index in (*indexes, geom.node_content_index, geom.start_index):
+            assert index.dtype.kind == "i" and index.dtype.itemsize == 4
+
+    def test_big_geometry_footprint(self):
+        geom = PathGeometry(generate_scenario(GenConfig(seed=0, **BIG)))
+        arrays = [a for v in vars(geom).values() for a in (v if isinstance(v, list) else [v])]
+        held = sum(b.nbytes for a in arrays for b in (a if isinstance(a, tuple) else [a])
+                   if isinstance(b, np.ndarray))
+        # 77.9 MB with int64 indexes, 44.0 MB with int32 ones
+        assert held < 60e6

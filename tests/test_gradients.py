@@ -124,7 +124,7 @@ class TestGradX:
             mu = rng.uniform(0, 2, size=S.Q.shape)
             weights = geom.rates if w is None else w
             terms = geom.evaluate(S.X)
-            contrib = x_position_contributions(terms, weights[:, None] * S.Q, mu)
+            contrib = x_position_contributions(terms, S.Q, mu, weights)
             expected = oracle_scatter_rows(geom.node, contrib, s.num_nodes)
             assert np.array_equal(grad_x(terms, S.Q, mu, w), expected)
 

@@ -14,12 +14,12 @@ from simcache.gradients import grad_mu, grad_q, grad_x
 from simcache.hibsa import (SolverConfig, caching_choice, delivery_choice, dual_step,
                             initial_state, projected_primal_update, round_caching,
                             round_delivery)
-from simcache.online import (BLOCK_SLOTS, OnlineConfig, RequestStreams, run_online,
-                             stochastic_gradients)
+from simcache.online import (BLOCK_SLOTS, OnlineConfig, RequestStreams, SlotConfig,
+                             SlotWindow, run_online, stochastic_gradients)
 from simcache.scenario import GenConfig, generate_scenario, with_capacity
 
 from conftest import MID, allocate_every_evaluation, make_line_scenario
-from oracles import oracle_delay, oracle_run_online
+from oracles import left_sum, oracle_delay, oracle_run_online
 
 
 class TestConfig:
@@ -103,6 +103,16 @@ class TestRequestStreams:
         for _ in range(n_slots):
             expected = [g.poisson(lam * T) for g, lam in zip(scalar, rates)]
             assert streams.draw_counts().tolist() == expected
+
+
+class TestSlotWindow:
+    def test_sums_left_to_right(self):
+        # 1e16 + 1.0 rounds to 1e16, so the left-to-right sum is exactly 0.0;
+        # a compensated sum, the builtin sum from Python 3.12 on, gives 1.0
+        window = SlotWindow(SlotConfig())
+        for slot_delay in (1e16, 1.0):
+            window.push(slot_delay, 0.0)
+        assert window.push(-1e16, 0.0) == (0.0, 0.0)
 
 
 class TestStochasticGradients:
@@ -390,8 +400,8 @@ class TestRunOnline:
             delay_hist.append(slot_delay)
             dissim_hist.append(slot_dissim)
             win = len(delay_hist) * cfg.slot_length
-            assert o.windowed_delay == sum(delay_hist) / win, o.slot
-            assert o.windowed_dissimilarity == sum(dissim_hist) / win, o.slot
+            assert o.windowed_delay == left_sum(delay_hist) / win, o.slot
+            assert o.windowed_dissimilarity == left_sum(dissim_hist) / win, o.slot
         assert any(o.windowed_dissimilarity > 0 for o in res.outcomes)
 
     def test_learns_to_cache_on_line(self):
