@@ -2,9 +2,9 @@
 
 Commands: generate, validate, solve, sweep, online.  solve, sweep and
 online write CSV metrics plus a manifest.json recording every option
-except --out (sweep also leaves out --workers), so any output can be
-reproduced byte-for-byte from the manifest and the numpy version alone:
-no result goes through a BLAS kernel, which the machine picks at run time.
+except --out, so any output can be reproduced byte-for-byte from the
+manifest and the numpy version alone: no result goes through a BLAS
+kernel, which the machine picks at run time.
 Exit codes: 0 success (including reported nonconvergence); 1 scenario
 violations, among them those of a solve --alpha or any sweep grid instance,
 all checked before anything is solved or written; 2 usage error, which
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -147,6 +148,12 @@ def sweep_point(s, scheme, cfg: SolverConfig):
         return (scheme, None, None, None, 0, f"error: {exc}")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 SLOT_COLUMNS = ("t", "num_requests", "avg_delay_window", "dissimilarity_window",
                 "lagrangian_estimate", "cache_churn", "offline_delay")
 
@@ -253,10 +260,9 @@ def solve(scenario, out, alpha, baseline, **solver):
 @click.option("--seeds", default="0,1,2,3,4", show_default=True)
 @click.option("--schemes", default="similarity,adaptive", show_default=True)
 @_apply(_solver_options)
-@click.option("--workers", default=1, show_default=True)
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-def sweep(param, values, seeds, schemes, workers, out, **flags):
-    """Sweep alpha or capacity over a grid of values and seeds."""
+def sweep(param, values, seeds, schemes, out, **flags):
+    """Sweep alpha or capacity over a grid of values and seeds, one process per usable CPU."""
     try:
         value_list = [float(v) for v in values.split(",") if v]
         seed_list = [int(v) for v in seeds.split(",") if v]
@@ -268,8 +274,6 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
                 raise ValueError(f"unknown scheme {sch!r}")
         if param == "capacity" and not all(v.is_integer() and abs(v) < 2**63 for v in value_list):
             raise ValueError("capacity values must be whole numbers that fit in int64")
-        if workers < 1:
-            raise ValueError("--workers must be >= 1")
     except ValueError as exc:
         raise click.UsageError(str(exc))
     solver = {f.name: flags.pop(f.name) for f in fields(SolverConfig) if f.name in flags}
@@ -283,7 +287,7 @@ def sweep(param, values, seeds, schemes, workers, out, **flags):
             _exit_on_violations(s)
             heads += [(param, v, seed)] * len(scheme_list)
             points += [(s, scheme) for scheme in scheme_list]
-    workers = min(workers, len(points))  # a fork pool starts all its workers at once
+    workers = min(usable_cpus(), len(points))  # a fork pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tails = list(pool.map(sweep_point, *zip(*points), repeat(cfg)))

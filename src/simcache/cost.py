@@ -101,9 +101,9 @@ class PathGeometry:
         # every flat index below is under max(N, V) * 2F: int32 where that fits
         itype = np.int32 if max(N, V) * 2 * F <= np.iinfo(np.int32).max else np.intp
         lane = np.arange(2 * F, dtype=itype)  # the entries of one trie node's row [T | A]
-        # levels below the terminals, deepest first: flat slices of it and its parents, index
+        # levels below the terminals, deepest first: flat first, end, parents' first; index
         rows = local[terminals:, None].astype(itype) * (2 * F) + lane  # one block for every level
-        self.pushes = [(2 * F * a, 2 * F * b, 2 * F * pa, 2 * F * a,
+        self.pushes = [(2 * F * a, 2 * F * b, 2 * F * pa,
                         rows[a - terminals:b - terminals].ravel())
                        for pa, a, b in zip(bounds, bounds[1:], bounds[2:])][::-1]
         # flat index of (trie node, content) into (V, F), of start rows into (N, 2, F)

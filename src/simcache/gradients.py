@@ -39,9 +39,9 @@ def x_position_contributions(terms: PathTerms, Q: np.ndarray, mu: np.ndarray,
     BC = np.bincount(geom.start_index, weights=seed.ravel(),
                      minlength=N * 2 * F).astype(float, copy=False)  # ints if no requests
     del seed  # not live at the peak below
-    for a, b, pa, pb, index in geom.pushes:
-        parents = BC[pa:pb]  # ``BC[pa:pb] +=`` would also assign the sum back
-        parents += np.bincount(index, weights=BC[a:b] * Y[a:b], minlength=pb - pa)
+    for a, b, pa, index in geom.pushes:  # the parent level ends where this one starts
+        parents = BC[pa:a]  # ``BC[pa:a] +=`` would also assign the sum back
+        parents += np.bincount(index, weights=BC[a:b] * Y[a:b], minlength=a - pa)
     BC = BC.reshape(N, 2, F)
     BC *= terms.W
     return BC[:, 0] + BC[:, 1]

@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -231,6 +232,16 @@ class TestOptionErrors:
         assert "No such option" in res.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1", "2"])
+    def test_sweep_has_no_workers_option(self, tmp_path, workers):
+        # the pool takes its size from the CPUs the sweep may run on
+        out = tmp_path / "x"
+        res = run(["sweep", "--values", "10", "--seeds", "0", "--workers", workers,
+                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("baseline", [[], ["--baseline", "per-cache"]],
                              ids=["online", "per-cache"])
     @pytest.mark.parametrize("rate,slot_length", [("1.0", "1e300"), ("1e19", "1.0"),
@@ -252,15 +263,6 @@ class TestOptionErrors:
         assert res.exit_code == 2
         assert "Traceback" not in res.output
         assert "request 0: Poisson mean rate * slot_length" in res.output
-        assert not out.exists()
-
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_sweep_without_workers_writes_nothing(self, tmp_path, workers):
-        out = tmp_path / "x"
-        res = run(["sweep", "--values", "10", "--seeds", "0", "--workers", workers,
-                   "--out", str(out)])
-        assert res.exit_code == 2
-        assert "must" in res.output
         assert not out.exists()
 
 
@@ -465,13 +467,48 @@ class TestSweep:
         assert res.exit_code == 0
         assert sorted(seeds) == [0, 1, 2]
 
-    def test_process_pool_matches_serial(self, tmp_path):
+    @staticmethod
+    def pool_sizes(monkeypatch, cpus):
+        """Let the sweep see ``cpus`` CPUs; the list of its pools' sizes."""
+        sizes = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        return sizes
+
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
         args = ["sweep", *GEN_FLAGS, "--param", "capacity", "--values", "0,1",
                 "--seeds", "0,1", "--max-iters", "150"]
         a, b = tmp_path / "serial", tmp_path / "pool"
-        assert run([*args, "--workers", "1", "--out", str(a)]).exit_code == 0
-        assert run([*args, "--workers", "2", "--out", str(b)]).exit_code == 0
+        inline = self.pool_sizes(monkeypatch, 1)
+        assert run([*args, "--out", str(a)]).exit_code == 0
+        pooled = self.pool_sizes(monkeypatch, 2)
+        assert run([*args, "--out", str(b)]).exit_code == 0
+        assert inline == [] and pooled == [2]
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+    def test_pool_has_no_more_workers_than_points(self, tmp_path, monkeypatch):
+        sizes = self.pool_sizes(monkeypatch, 3)
+        res = run(["sweep", *GEN_FLAGS, "--values", "10", "--seeds", "0",
+                   "--max-iters", "50", "--out", str(tmp_path / "x")])
+        assert res.exit_code == 0
+        assert sizes == [2]  # two schemes at one grid point
+
+    def test_usable_cpus(self, monkeypatch):
+        # the affinity set where the platform has one, else the CPU count
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        assert cli.usable_cpus() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli.usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert cli.usable_cpus() == 1
 
 
 class TestOnline:
